@@ -63,7 +63,10 @@ def fit_logistic_regression(
     """Deterministic full-batch gradient-descent fit (zero initialization).
 
     Features are standardized internally; the returned model folds the
-    scaler in, so ``predict`` takes raw features.
+    scaler in, so ``predict`` takes raw features.  The weight step is capped
+    at ``1 / l2``, beyond which the penalty alone makes the iteration
+    diverge; the unpenalized intercept keeps ``learning_rate``.  A fit that
+    still ends non-finite raises ``DataError``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -81,14 +84,17 @@ def fit_logistic_regression(
     intercept = np.zeros(classes.size)
     velocity_w = np.zeros_like(weights)
     velocity_b = np.zeros_like(intercept)
+    weight_rate = min(learning_rate, 1.0 / l2) if l2 > 0 else learning_rate
     for _ in range(n_iterations):
         _, grad_w, grad_b = multinomial_loss_and_grad(
             weights, intercept, standardized, one_hot, l2
         )
-        velocity_w = momentum * velocity_w - learning_rate * grad_w
+        velocity_w = momentum * velocity_w - weight_rate * grad_w
         velocity_b = momentum * velocity_b - learning_rate * grad_b
         weights += velocity_w
         intercept += velocity_b
+    if not (np.isfinite(weights).all() and np.isfinite(intercept).all()):
+        raise DataError("logistic regression diverged to non-finite weights")
     return LogisticModel(weights, intercept, mean, scale, classes)
 
 

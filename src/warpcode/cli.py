@@ -16,9 +16,17 @@ import numpy as np
 
 from . import experiments
 from .analysis import export_filter_grid, score_filter_bank_pairs
+from .classifiers import fit_logistic_regression, knn_accuracy
 from .dataset import gen_dot_pairs, gen_rotated_glyphs, gen_videos
-from .errors import ConfigError, DivergenceError, LockError, WarpcodeError
-from .model import load_model, save_model
+from .detector import load_bank
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    LockError,
+    ModelConfigError,
+    WarpcodeError,
+)
+from .model import image_codes, load_model, save_model
 from .storage import load_matrix, save_matrix, write_csv
 
 
@@ -157,8 +165,6 @@ def _cmd_train(args):
 def _cmd_analyze(args):
     overrides = _parse_overrides(args.set)
     if args.bank:
-        from .detector import load_bank
-
         bank = load_bank(Path(args.bank))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -207,9 +213,6 @@ def _cmd_analyze(args):
 
 def _cmd_classify(args):
     overrides = _parse_overrides(args.set)
-    from .classifiers import fit_logistic_regression, knn_accuracy
-    from .model import image_codes
-
     model = load_model(Path(args.model))
     glyphs = gen_rotated_glyphs(
         int(overrides.pop("per_class", 150)),
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return _cmd_classify(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, LockError) as error:
+    except (ConfigError, LockError, ModelConfigError) as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
     except DivergenceError as error:

@@ -9,7 +9,8 @@ filters of many detectors into matrices, pool the per-detector products
 within subspaces (band map ``P``) and across subspaces (map ``W``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     SharedSubspaceError,
 )
 from .patches import ImagePatch
+from .storage import load_matrix, save_matrix
 from .warp_algebra import SubspaceBlock, SubspaceDecomposition, wrap_angle
 
 # Angles closer than this are treated as the same preferred angle.
@@ -199,16 +201,7 @@ class DetectorBank:
                 f"across_pool must have {self.n_detectors} rows, "
                 f"got {across_pool.shape[0]}"
             )
-        return DetectorBank(
-
-            self.blocks,
-            self.detector_block,
-            self.detector_angle,
-            self.input_filters,
-            self.output_filters,
-            self.within_pool,
-            across_pool,
-        )
+        return replace(self, across_pool=across_pool)
 
 
 @dataclass(frozen=True)
@@ -260,14 +253,8 @@ def build_bank_from_warp_family(
         raise ValueError("empty preferred-angle grid")
     _validate_shared_subspaces(decompositions)
 
-    reference = decompositions[0]
-    blocks = reference.blocks
-    det_block = []
-    det_angle = []
-    det_grid_index = []
-    input_cols = []
-    output_cols = []
-    pool_rows = []
+    blocks = decompositions[0].blocks
+    det_block, det_angle, det_grid_index = [], [], []
     for block_index, block in enumerate(blocks):
         for grid_index, theta in enumerate(theta_grid):
             if block.basis_imag is None and not (
@@ -275,41 +262,49 @@ def build_bank_from_warp_family(
                 or abs(abs(wrap_angle(theta)) - np.pi) <= ANGLE_MATCH_TOL
             ):
                 continue
-            rot_r, rot_i = rotated_filter_pair(block, theta)
-            columns = [len(input_cols)]
-            input_cols.append(rot_r)
-            output_cols.append(block.basis_real)
-            if block.basis_imag is not None:
-                columns.append(len(input_cols))
-                input_cols.append(rot_i)
-                output_cols.append(block.basis_imag)
-            pool_rows.append(columns)
             det_block.append(block_index)
             det_angle.append(theta)
             det_grid_index.append(grid_index)
+    if across_pool is None:
+        across_pool = np.zeros((len(det_angle), len(theta_grid)))
+        across_pool[np.arange(len(det_angle)), det_grid_index] = 1.0
+    return _assemble_bank(blocks, det_block, det_angle, across_pool)
 
-    n_detectors = len(det_angle)
-    n_factors = len(input_cols)
-    within = np.zeros((n_detectors, n_factors))
+
+def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
+    """The bank of the detectors (block index, preferred angle) on ``blocks``.
+
+    Each detector reads x through its block's basis pair rotated by its
+    angle and y through the plain pair (one column each for a 1-D block);
+    its row of the within pooling sums those factor products.
+    """
+    detector_block = np.asarray(detector_block, dtype=np.intp)
+    detector_angle = np.array(detector_angle, dtype=np.float64)
+    input_cols, output_cols, pool_rows = [], [], []
+    for block_index, theta in zip(detector_block, detector_angle):
+        block = blocks[block_index]
+        rot_r, rot_i = rotated_filter_pair(block, theta)
+        columns = [len(input_cols)]
+        input_cols.append(rot_r)
+        output_cols.append(block.basis_real)
+        if block.basis_imag is not None:
+            columns.append(len(input_cols))
+            input_cols.append(rot_i)
+            output_cols.append(block.basis_imag)
+        pool_rows.append(columns)
+    within = np.zeros((detector_angle.size, len(input_cols)))
     for row, columns in enumerate(pool_rows):
         within[row, columns] = 1.0
-    if across_pool is None:
-        across_pool = np.zeros((n_detectors, len(theta_grid)))
-        across_pool[np.arange(n_detectors), det_grid_index] = 1.0
-    across_pool = np.asarray(across_pool, dtype=np.float64)
-    if across_pool.shape[0] != n_detectors:
-        raise DimensionError(
-            f"across_pool must have {n_detectors} rows, got {across_pool.shape[0]}"
-        )
-    return DetectorBank(
+    bank = DetectorBank(
         blocks=tuple(blocks),
-        detector_block=np.array(det_block, dtype=np.intp),
-        detector_angle=np.array(det_angle, dtype=np.float64),
+        detector_block=detector_block,
+        detector_angle=detector_angle,
         input_filters=np.stack(input_cols, axis=1),
         output_filters=np.stack(output_cols, axis=1),
         within_pool=within,
-        across_pool=across_pool,
+        across_pool=None,
     )
+    return bank.with_across_pool(across_pool)  # checks the row count
 
 
 def pooled_code(bank: DetectorBank, x, y) -> DetectorResponse:
@@ -351,10 +346,6 @@ def save_bank(bank: DetectorBank, directory) -> None:
     the across pooling.  Filters and the within pooling are rebuilt
     deterministically on load.
     """
-    from pathlib import Path
-
-    from .storage import save_matrix
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     dim = bank.dim
@@ -379,48 +370,22 @@ def save_bank(bank: DetectorBank, directory) -> None:
 
 
 def load_bank(directory) -> DetectorBank:
-    from pathlib import Path
-
-    from .storage import load_matrix
-
     directory = Path(directory)
     bases_real = load_matrix(directory / "bases_real.wmat")
     bases_imag = load_matrix(directory / "bases_imag.wmat")
     block_table = load_matrix(directory / "block_table.wmat")
     detector_table = load_matrix(directory / "detector_table.wmat")
-    across_pool = load_matrix(directory / "across_pool.wmat")
-    blocks = []
-    for j in range(block_table.shape[0]):
-        two_dim = block_table[j, 1] > 0.5
-        blocks.append(
-            SubspaceBlock(
-                bases_real[:, j],
-                bases_imag[:, j] if two_dim else None,
-                float(block_table[j, 0]),
-            )
+    blocks = [
+        SubspaceBlock(
+            bases_real[:, j],
+            bases_imag[:, j] if two_dim > 0.5 else None,
+            float(angle),
         )
-    input_cols, output_cols, pool_rows = [], [], []
-    for det in range(detector_table.shape[0]):
-        block = blocks[int(detector_table[det, 0])]
-        theta = float(detector_table[det, 1])
-        rot_r, rot_i = rotated_filter_pair(block, theta)
-        columns = [len(input_cols)]
-        input_cols.append(rot_r)
-        output_cols.append(block.basis_real)
-        if block.basis_imag is not None:
-            columns.append(len(input_cols))
-            input_cols.append(rot_i)
-            output_cols.append(block.basis_imag)
-        pool_rows.append(columns)
-    within = np.zeros((detector_table.shape[0], len(input_cols)))
-    for row, columns in enumerate(pool_rows):
-        within[row, columns] = 1.0
-    return DetectorBank(
-        blocks=tuple(blocks),
-        detector_block=detector_table[:, 0].astype(np.intp),
-        detector_angle=detector_table[:, 1].copy(),
-        input_filters=np.stack(input_cols, axis=1),
-        output_filters=np.stack(output_cols, axis=1),
-        within_pool=within,
-        across_pool=across_pool,
+        for j, (angle, two_dim) in enumerate(block_table)
+    ]
+    return _assemble_bank(
+        blocks,
+        detector_table[:, 0],
+        detector_table[:, 1],
+        load_matrix(directory / "across_pool.wmat"),
     )

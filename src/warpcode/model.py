@@ -22,7 +22,7 @@ it would see on data standardized to unit variance per dimension
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -145,24 +145,22 @@ class GatedModel:
         pooling="band",
         nonlinearity="sigmoid",
         tied=False,
-        init_scale=None,
         seed=0,
         gate_gain=1.0,
     ):
         if tied and dim_x != dim_y:
             raise ModelConfigError("tied filters need dim_x == dim_y")
-        if init_scale is None:
-            init_scale = 0.1 / np.sqrt(max(dim_x, dim_y))
+        scale = 0.1 / np.sqrt(max(dim_x, dim_y))
         rng = np.random.default_rng(seed)
-        u = rng.uniform(-init_scale, init_scale, size=(dim_x, n_factors))
-        v = rng.uniform(-init_scale, init_scale, size=(dim_y, n_factors))
+        u = rng.uniform(-scale, scale, size=(dim_x, n_factors))
+        v = rng.uniform(-scale, scale, size=(dim_y, n_factors))
         if pooling == "band":
             within = band_pooling(n_factors)
         elif pooling == "identity":
             within = np.eye(n_factors)
         else:
             raise ModelConfigError(f"unknown pooling mode {pooling!r}")
-        w = rng.uniform(-init_scale, init_scale, size=(within.shape[1], n_mappings))
+        w = rng.uniform(-scale, scale, size=(within.shape[1], n_mappings))
         u /= np.linalg.norm(u, axis=0, keepdims=True)
         v /= np.linalg.norm(v, axis=0, keepdims=True)
         return cls(
@@ -368,26 +366,12 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int = 0
-    init_scale: float = 0.0  # 0 keeps the model's initializer default
     momentum: float = 0.9
     symmetric: bool = False
     # Weight of the within-pair decorrelation penalty sum_k (u_2k . u_2k+1)^2
     # added during training under band pooling.  Pooled pairs otherwise tend
     # to collapse onto duplicate filters instead of spanning a subspace.
     pair_decorrelation: float = 0.0
-    # Weight of the pair rotation-tie penalty
-    # sum_k min_theta |V_k - U_k R(theta)|^2, the soft form of the filter
-    # condition the detectors need (output pairs are rotated copies of input
-    # pairs); the mandated unit-norm constraint is its first-order part.
-    pair_rotation_tie: float = 0.0
-    # Weight of the mean |U^T x| response-sparsity penalty, the classic
-    # sparse-coding pressure; it breaks ties between equivalent filter
-    # mixtures in favor of selective filters.
-    response_sparsity: float = 0.0
-    # Weight of the group-L1 penalty on pair response energies (square
-    # pooling sparsity), pushing each band pair onto one independent
-    # subspace of the data.
-    pair_group_sparsity: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -396,13 +380,8 @@ class TrainConfig:
             raise ModelConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ModelConfigError("momentum must lie in [0, 1)")
-        if (
-            self.pair_decorrelation < 0
-            or self.pair_rotation_tie < 0
-            or self.response_sparsity < 0
-            or self.pair_group_sparsity < 0
-        ):
-            raise ModelConfigError("penalty weights must be >= 0")
+        if self.pair_decorrelation < 0:
+            raise ModelConfigError("pair_decorrelation must be >= 0")
 
 
 def pair_decorrelation_gradient(filters: np.ndarray) -> np.ndarray:
@@ -414,46 +393,6 @@ def pair_decorrelation_gradient(filters: np.ndarray) -> np.ndarray:
     grad[:, 0::2] = alignment * right
     grad[:, 1::2] = alignment * left
     return grad
-
-
-def pair_rotation_tie_gradients(input_filters, output_filters):
-    """Gradients of ``sum_k min_theta |V_k - U_k R(theta)|_F^2``.
-
-    theta is at its per-pair closed-form optimum, so treating it as constant
-    still gives the exact gradient of the minimized penalty (envelope
-    theorem).  Returns (d_input, d_output).
-    """
-    u1, u2 = input_filters[:, 0::2], input_filters[:, 1::2]
-    v1, v2 = output_filters[:, 0::2], output_filters[:, 1::2]
-    a = (v1 * u1).sum(axis=0) + (v2 * u2).sum(axis=0)
-    b = (v1 * u2).sum(axis=0) - (v2 * u1).sum(axis=0)
-    theta = np.arctan2(b, a)
-    c, s = np.cos(theta), np.sin(theta)
-    gap1 = v1 - (c * u1 + s * u2)
-    gap2 = v2 - (-s * u1 + c * u2)
-    d_out = np.empty_like(output_filters)
-    d_out[:, 0::2] = 2.0 * gap1
-    d_out[:, 1::2] = 2.0 * gap2
-    d_in = np.empty_like(input_filters)
-    d_in[:, 0::2] = -2.0 * (c * gap1 - s * gap2)
-    d_in[:, 1::2] = -2.0 * (s * gap1 + c * gap2)
-    return d_in, d_out
-
-
-def pair_group_sparsity_gradient(filters, batch_x, epsilon=1e-8):
-    """Gradient of the mean group-L1 of pair response energies,
-    ``mean_b sum_k sqrt((u_{2k}.x)^2 + (u_{2k+1}.x)^2 + eps)``.
-
-    The square-pooling sparsity pressure: drives filter pairs toward
-    independent (selective) subspaces instead of mixtures.
-    """
-    responses = batch_x @ filters
-    even, odd = responses[:, 0::2], responses[:, 1::2]
-    norms = np.sqrt(even * even + odd * odd + epsilon)
-    scaled = np.empty_like(responses)
-    scaled[:, 0::2] = even / norms
-    scaled[:, 1::2] = odd / norms
-    return batch_x.T @ scaled / batch_x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -495,55 +434,12 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
             if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise DivergenceError(epoch, loss)
             epoch_loss += loss * batch_idx.size
-            if (
-                config.pair_decorrelation
-                or config.pair_rotation_tie
-                or config.response_sparsity
-                or config.pair_group_sparsity
-            ):
-                grads = dict(grads)
             if config.pair_decorrelation:
-                grads["input_filters"] = grads[
-                    "input_filters"
-                ] + config.pair_decorrelation * pair_decorrelation_gradient(
-                    model.input_filters
-                )
-                if "output_filters" in grads:
-                    grads["output_filters"] = grads[
-                        "output_filters"
-                    ] + config.pair_decorrelation * pair_decorrelation_gradient(
-                        model.output_filters
-                    )
-            if config.pair_rotation_tie and "output_filters" in grads:
-                tie_in, tie_out = pair_rotation_tie_gradients(
-                    model.input_filters, model.output_filters
-                )
-                grads["input_filters"] = (
-                    grads["input_filters"] + config.pair_rotation_tie * tie_in
-                )
-                grads["output_filters"] = (
-                    grads["output_filters"] + config.pair_rotation_tie * tie_out
-                )
-            if config.response_sparsity:
-                batch_x = xs[batch_idx]
-                responses = batch_x @ model.input_filters
-                sparsity_grad = batch_x.T @ np.sign(responses) / batch_idx.size
-                grads["input_filters"] = (
-                    grads["input_filters"] + config.response_sparsity * sparsity_grad
-                )
-            if config.pair_group_sparsity:
-                group_grad = pair_group_sparsity_gradient(
-                    model.input_filters, xs[batch_idx]
-                )
-                grads["input_filters"] = (
-                    grads["input_filters"] + config.pair_group_sparsity * group_grad
-                )
-                if "output_filters" in grads:
-                    grads["output_filters"] = grads[
-                        "output_filters"
-                    ] + config.pair_group_sparsity * pair_group_sparsity_gradient(
-                        model.output_filters, ys[batch_idx]
-                    )
+                for name in ("input_filters", "output_filters"):
+                    if name in grads:
+                        grads[name] = grads[name] + config.pair_decorrelation * (
+                            pair_decorrelation_gradient(getattr(model, name))
+                        )
             for name, grad in grads.items():
                 velocity = velocities.get(name)
                 if velocity is None:

@@ -23,13 +23,20 @@ class TestLogisticRegression:
         model = fit_logistic_regression(features, labels, l2=1e-6)
         assert model.accuracy(features, labels) == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_penalty_degrades_to_majority_class(self):
         rng = np.random.default_rng(2)
         features = rng.standard_normal((60, 4))
-        labels = np.array([0] * 45 + [1] * 15)
-        model = fit_logistic_regression(features, labels, l2=1e6)
         majority_rate = 45 / 60
-        assert model.accuracy(features, labels) == pytest.approx(majority_rate, abs=0.05)
+        # both labelings, so a NaN fit read as class 0 cannot pass
+        for majority in (0, 1):
+            labels = np.array([majority] * 45 + [1 - majority] * 15)
+            model = fit_logistic_regression(features, labels, l2=1e6)
+            assert np.isfinite(model.weights).all()
+            assert np.isfinite(model.intercept).all()
+            assert model.accuracy(features, labels) == pytest.approx(
+                majority_rate, abs=0.05
+            )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)

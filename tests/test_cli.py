@@ -32,6 +32,34 @@ def test_unknown_option_exits_2(tmp_path):
     assert code == 2
 
 
+TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("fig4", ["--set", "train_sizes=100"]),
+        ("fig2", ["--set", "width=abc"]),
+        ("oracle", ["--set", "dim=abc"]),
+        ("fig2", TINY_FIG2 + ["--set", "n_factors=7"]),
+        ("fig2", TINY_FIG2 + ["--set", "batch_size=-1"]),
+        ("fig2", ["--set", "learning_rate=nan"]),
+        ("fig2", ["--set", "epochs=0"]),
+        ("fig2", ["--set", "width=9.0"]),
+        ("fig2", ["--set", "width=true"]),
+        ("fig2", ["--set", "family=3"]),
+        ("fig2", ["--set", "seed=abc"]),
+        ("fig4", ["--set", "train_sizes=100,x"]),
+    ],
+)
+def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
+    code = main([command, "--out", str(tmp_path / "o")] + options)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
 def test_locked_directory_exits_2(tmp_path):
     (tmp_path / "o").mkdir()
     (tmp_path / "o" / ".lock").touch()

@@ -7,9 +7,11 @@ from warpcode.detector import (
     batch_pooled_responses,
     build_bank_from_warp_family,
     energy_detector_response,
+    load_bank,
     pooled_code,
     project,
     rotation_detector_response,
+    save_bank,
     sequence_detector_response,
     subspace_angle_cos,
 )
@@ -19,6 +21,7 @@ from warpcode.errors import (
     NormalizationError,
     SharedSubspaceError,
 )
+from warpcode.experiments import build_shift_bank
 from warpcode.patches import ImagePatch, contrast_normalize
 from warpcode.warp_algebra import (
     WarpMatrix,
@@ -388,25 +391,26 @@ class TestDetectorBank:
             np.testing.assert_allclose(pooled[i], single.pooled, atol=1e-12)
 
     def test_bank_round_trips_through_wmat_container(self, shift16, tmp_path):
-        from warpcode.detector import load_bank, save_bank
-
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]
-        bank = build_bank_from_warp_family([shift16], grid)
-        save_bank(bank, tmp_path / "bank")
-        loaded = load_bank(tmp_path / "bank")
-        np.testing.assert_array_equal(loaded.detector_angle, bank.detector_angle)
-        np.testing.assert_array_equal(loaded.detector_block, bank.detector_block)
-        np.testing.assert_allclose(loaded.input_filters, bank.input_filters, atol=1e-15)
-        np.testing.assert_array_equal(loaded.within_pool, bank.within_pool)
-        np.testing.assert_array_equal(loaded.across_pool, bank.across_pool)
+        # the default across pool, and the oracle's custom one
+        banks = [build_bank_from_warp_family([shift16], grid), build_shift_bank(8)]
         rng = np.random.default_rng(61)
-        x = contrast_normalize(rng.standard_normal(16))
-        y = contrast_normalize(rng.standard_normal(16))
-        np.testing.assert_allclose(
-            pooled_code(loaded, x, y).pooled,
-            pooled_code(bank, x, y).pooled,
-            atol=1e-12,
-        )
+        for index, bank in enumerate(banks):
+            save_bank(bank, tmp_path / f"bank{index}")
+            loaded = load_bank(tmp_path / f"bank{index}")
+            np.testing.assert_array_equal(loaded.detector_angle, bank.detector_angle)
+            np.testing.assert_array_equal(loaded.detector_block, bank.detector_block)
+            np.testing.assert_array_equal(loaded.input_filters, bank.input_filters)
+            np.testing.assert_array_equal(loaded.output_filters, bank.output_filters)
+            np.testing.assert_array_equal(loaded.within_pool, bank.within_pool)
+            np.testing.assert_array_equal(loaded.across_pool, bank.across_pool)
+            x = contrast_normalize(rng.standard_normal(bank.dim))
+            y = contrast_normalize(rng.standard_normal(bank.dim))
+            np.testing.assert_allclose(
+                pooled_code(loaded, x, y).pooled,
+                pooled_code(bank, x, y).pooled,
+                atol=1e-12,
+            )
 
     def test_bank_invariants(self, shift16):
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]

@@ -22,7 +22,6 @@ from warpcode.experiments import (
     run_fig3,
     run_fig4,
     shift_readout_pool,
-    thread_cap,
 )
 from warpcode.storage import read_csv
 
@@ -71,11 +70,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_file(config)
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("WARPCODE_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("WARPCODE_THREADS", "junk")
-        assert thread_cap() == 1
+    def test_int_accepted_for_float_and_kept_as_given(self, tmp_path):
+        # the manifest echoes "snr=10", as given
+        cfg = ExperimentConfig.build("oracle", tmp_path, overrides={"snr": 10})
+        assert cfg.params["snr"] == 10 and isinstance(cfg.params["snr"], int)
 
 
 class TestLock:
@@ -115,6 +113,24 @@ class TestOracle:
         )
         report = run_detector_oracle(cfg)
         assert report.accuracy >= 0.9
+
+    def test_aperture_breakdown_accounts_for_every_trial(self, tmp_path):
+        cfg = ExperimentConfig.build(
+            "oracle",
+            tmp_path / "a",
+            seed=4,
+            overrides={"dim": 8, "n_trials": 60, "snr": 2.0, "aperture_floor": 0.3},
+        )
+        report = run_detector_oracle(cfg)
+        counts = [count for count, _, _ in report.aperture_breakdown]
+        trials = np.array([n for _, n, _ in report.aperture_breakdown])
+        accuracies = np.array([a for _, _, a in report.aperture_breakdown])
+        assert len(counts) > 1 and counts == sorted(set(counts))
+        assert trials.sum() == 8 * 60
+        assert report.accuracy < 1.0  # the noise makes some trials miss
+        assert trials @ accuracies / trials.sum() == pytest.approx(
+            report.accuracy, abs=1e-12
+        )
 
     def test_shift_readout_pool_marks_matching_angles(self):
         bank = build_shift_bank(8)
