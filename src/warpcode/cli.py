@@ -3,20 +3,19 @@
 Subcommands: ``gen`` (datasets), ``train`` (gated model), ``analyze``
 (quadrature/eigenmovie reports for a checkpoint), ``classify`` (glyph
 benchmark on a checkpoint), and the pipelines ``fig2``, ``fig3``, ``fig4``,
-``oracle``.  Options come from ``--config`` key=value files overridden by
-``--set key=value`` flags (flags win).  Exit codes: 0 success, 2
-configuration error, 3 training divergence.
+``oracle``.  Every subcommand's options come from ``--config`` key=value
+files overridden by ``--set key=value`` flags (flags win), checked by
+``experiments.ExperimentConfig.build`` against the subcommand's table.
+Exit codes: 0 success, 2 configuration error, 3 training divergence.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
 from .analysis import export_filter_grid, score_filter_bank_pairs
-from .classifiers import fit_logistic_regression, knn_accuracy
 from .dataset import gen_dot_pairs, gen_rotated_glyphs, gen_videos
 from .detector import load_bank
 from .errors import (
@@ -40,14 +39,19 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _cmd_experiment(name, args):
-    cfg = experiments.ExperimentConfig.build(
+def _config(name, args):
+    """``name``'s options from ``--config``, ``--set`` and ``--seed``."""
+    return experiments.ExperimentConfig.build(
         name,
         args.out,
         seed=args.seed,
         config_file=args.config,
         overrides=_parse_overrides(args.set),
     )
+
+
+def _cmd_experiment(name, args):
+    cfg = _config(name, args)
     runner = {
         "fig2": experiments.run_fig2,
         "fig3": experiments.run_fig3,
@@ -78,19 +82,17 @@ def _cmd_experiment(name, args):
 
 
 def _cmd_gen(args):
-    out = Path(args.out)
+    cfg = _config(f"gen {args.kind}", args)
+    p, out = cfg.params, cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    overrides = _parse_overrides(args.set)
-    seed = args.seed
-    kind = args.kind
-    if kind == "pairs":
-        geometry = (overrides.pop("width", 13), overrides.pop("height", 13))
+    geometry = (p["width"], p["height"])
+    if args.kind == "pairs":
         data = gen_dot_pairs(
-            int(overrides.pop("n_pairs", 1000)),
+            p["n_pairs"],
             geometry,
-            family=str(overrides.pop("family", "rotation")),
-            density=float(overrides.pop("density", 0.1)),
-            seed=seed,
+            family=p["family"],
+            density=p["density"],
+            seed=cfg.seed,
         )
         save_matrix(out / "xs.wmat", data.xs)
         save_matrix(out / "ys.wmat", data.ys)
@@ -99,63 +101,38 @@ def _cmd_gen(args):
             ["family", "parameter"],
             [(l.family, l.parameter) for l in data.labels],
         )
-    elif kind == "videos":
-        geometry = (overrides.pop("width", 13), overrides.pop("height", 13))
-        n_frames = int(overrides.pop("n_frames", 6))
+    elif args.kind == "videos":
         videos = gen_videos(
-            int(overrides.pop("n_clips", 500)),
+            p["n_clips"],
             geometry,
-            n_frames,
-            [("cyclic_shift", (1, n_frames))],
-            density=float(overrides.pop("density", 0.1)),
-            seed=seed,
+            p["n_frames"],
+            [("cyclic_shift", (1, p["n_frames"]))],
+            density=p["density"],
+            seed=cfg.seed,
         )
         save_matrix(out / "clips.wmat", videos.concatenated())
-    elif kind == "glyphs":
-        geometry = (overrides.pop("width", 16), overrides.pop("height", 16))
-        glyphs = gen_rotated_glyphs(
-            int(overrides.pop("per_class", 100)), geometry, seed=seed
-        )
+    else:
+        glyphs = gen_rotated_glyphs(p["per_class"], geometry, seed=cfg.seed)
         save_matrix(out / "images.wmat", glyphs.images)
         write_csv(
             out / "labels.csv",
             ["label", "split"],
             list(zip(glyphs.labels, glyphs.split)),
         )
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    if overrides:
-        raise ConfigError(f"unused options: {sorted(overrides)}")
-    print(f"wrote {kind} dataset to {out}")
+    print(f"wrote {args.kind} dataset to {out}")
     return 0
 
 
 def _cmd_train(args):
     """Train on ``xs.wmat``/``ys.wmat`` with the pipelines' training path;
     options default to the ``fig2`` settings."""
-    overrides = _parse_overrides(args.set)
+    cfg = _config("train", args)
+    p, out = cfg.params, cfg.out_dir
     xs = load_matrix(Path(args.data) / "xs.wmat")
     ys = load_matrix(Path(args.data) / "ys.wmat")
-    pooling = str(overrides.pop("pooling", "band"))
-    nonlinearity = str(overrides.pop("nonlinearity", "sigmoid"))
-    params = {
-        key: overrides.pop(key, experiments.FIG2_DEFAULTS[key])
-        for key in (
-            "n_factors",
-            "n_mappings",
-            "learning_rate",
-            "epochs",
-            "batch_size",
-            "momentum",
-            "pair_decorrelation",
-        )
-    }
-    if overrides:
-        raise ConfigError(f"unused options: {sorted(overrides)}")
     model, losses = experiments.fit_gated_model(
-        xs, ys, params, args.seed, pooling=pooling, nonlinearity=nonlinearity
+        xs, ys, p, cfg.seed, pooling=p["pooling"], nonlinearity=p["nonlinearity"]
     )
-    out = Path(args.out)
     save_model(model, out / "checkpoint")
     write_csv(out / "loss_curve.csv", ["epoch", "loss"], list(enumerate(losses, start=1)))
     print(f"final loss {losses[-1]:.4f}; checkpoint in {out / 'checkpoint'}")
@@ -163,15 +140,20 @@ def _cmd_train(args):
 
 
 def _cmd_analyze(args):
-    overrides = _parse_overrides(args.set)
+    cfg = _config("analyze", args)
     if args.bank:
         bank = load_bank(Path(args.bank))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        width = int(overrides.pop("width", int(np.sqrt(bank.dim))))
-        height = int(overrides.pop("height", bank.dim // width))
-        if overrides:
-            raise ConfigError(f"unused options: {sorted(overrides)}")
+        dim = bank.dim
+    elif args.model:
+        model = load_model(Path(args.model))
+        dim = model.dim_x
+    else:
+        raise ConfigError("analyze needs --model or --bank")
+    width = cfg.params["width"] or math.isqrt(dim)
+    geometry = (width, cfg.params["height"] or dim // width)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    if args.bank:
         write_csv(
             out / "detectors.csv",
             ["detector", "block", "preferred_angle"],
@@ -180,30 +162,17 @@ def _cmd_analyze(args):
                 for d in range(bank.n_detectors)
             ],
         )
-        export_filter_grid(
-            bank.input_filters.T, (width, height), out / "bank_filters.pgm"
-        )
+        export_filter_grid(bank.input_filters.T, geometry, out / "bank_filters.pgm")
         print(f"bank with {bank.n_detectors} detectors; reports in {out}")
         return 0
-    if not args.model:
-        raise ConfigError("analyze needs --model or --bank")
-    model = load_model(Path(args.model))
-    width = int(overrides.pop("width", int(np.sqrt(model.dim_x))))
-    height = int(overrides.pop("height", model.dim_x // width))
-    if overrides:
-        raise ConfigError(f"unused options: {sorted(overrides)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = score_filter_bank_pairs(
-        model.input_filters, model.output_filters, (width, height)
+        model.input_filters, model.output_filters, geometry
     )
     report.write(out / "quadrature.csv")
-    export_filter_grid(
-        model.input_filters.T, (width, height), out / "filters_input.pgm"
-    )
+    export_filter_grid(model.input_filters.T, geometry, out / "filters_input.pgm")
     if not model.tied:
         export_filter_grid(
-            model.output_filters.T, (width, height), out / "filters_output.pgm"
+            model.output_filters.T, geometry, out / "filters_output.pgm"
         )
     quantiles = report.summary_quantiles()
     print(f"median quadrature fit_r2: {quantiles['fit_r2'][0.5]:.3f}")
@@ -212,37 +181,25 @@ def _cmd_analyze(args):
 
 
 def _cmd_classify(args):
-    overrides = _parse_overrides(args.set)
+    """fig4's pooled-logreg, raw-logreg and raw-1-NN evaluation of a
+    checkpoint on freshly rasterized glyphs."""
+    cfg = _config("classify", args)
+    p, out = cfg.params, cfg.out_dir
     model = load_model(Path(args.model))
     glyphs = gen_rotated_glyphs(
-        int(overrides.pop("per_class", 150)),
-        (int(overrides.pop("width", 16)), int(overrides.pop("height", 16))),
-        seed=args.seed,
+        p["per_class"], (p["width"], p["height"]), seed=cfg.seed
     )
-    if overrides:
-        raise ConfigError(f"unused options: {sorted(overrides)}")
     train_x, train_y = glyphs.subset("train")
     test_x, test_y = glyphs.subset("test")
-    pooled_train = image_codes(model, train_x)
-    pooled_test = image_codes(model, test_x)
-    pooled_acc = fit_logistic_regression(pooled_train, train_y).accuracy(
-        pooled_test, test_y
+    accuracies = experiments.glyph_accuracies(
+        (image_codes(model, train_x), train_x, train_y),
+        (image_codes(model, test_x), test_x, test_y),
     )
-    raw_acc = fit_logistic_regression(train_x, train_y).accuracy(test_x, test_y)
-    knn_acc = knn_accuracy(train_x, train_y, test_x, test_y, 1)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "classify.csv",
-        ["method", "accuracy"],
-        [
-            ("pooled_logreg", pooled_acc),
-            ("raw_logreg", raw_acc),
-            ("raw_knn", knn_acc),
-        ],
-    )
+    write_csv(out / "classify.csv", ["method", "accuracy"], list(accuracies.items()))
     print(
-        f"pooled logreg {pooled_acc:.3f}  raw logreg {raw_acc:.3f}  raw 1-NN {knn_acc:.3f}"
+        "pooled logreg {pooled_logreg:.3f}  raw logreg {raw_logreg:.3f}  "
+        "raw 1-NN {raw_knn:.3f}".format(**accuracies)
     )
     return 0
 
@@ -293,15 +250,12 @@ def main(argv=None) -> int:
     try:
         if args.command in ("fig2", "fig3", "fig4", "oracle"):
             return _cmd_experiment(args.command, args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {
+            "gen": _cmd_gen,
+            "train": _cmd_train,
+            "analyze": _cmd_analyze,
+            "classify": _cmd_classify,
+        }[args.command](args)
     except (ConfigError, LockError, ModelConfigError) as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ Geometry = Union[int, Tuple[int, int]]
 DOT_DENSITY_DEFAULT = 0.1
 
 SPLIT_TAGS = ("train", "holdout", "test")
+PAIR_FAMILIES = ("cyclic_shift", "rotation", "mixed")
 
 
 def _geometry_dim(geometry: Geometry) -> int:
@@ -171,7 +172,7 @@ def gen_dot_pairs(
     """
     if not 0.0 < density < 1.0:
         raise DataError(f"density must lie in (0, 1), got {density}")
-    if family not in ("cyclic_shift", "rotation", "mixed"):
+    if family not in PAIR_FAMILIES:
         raise DataError(f"unknown warp family {family!r}")
     rng = np.random.default_rng(seed)
     xs, ys, labels = [], [], []

@@ -26,7 +26,7 @@ from .analysis import (
     score_filter_bank_pairs,
 )
 from .classifiers import fit_logistic_regression, fit_pca, knn_accuracy
-from .dataset import gen_dot_pairs, gen_rotated_glyphs, gen_videos
+from .dataset import PAIR_FAMILIES, gen_dot_pairs, gen_rotated_glyphs, gen_videos
 from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
 from .errors import ConfigError, LockError
 from .model import (
@@ -100,11 +100,39 @@ ORACLE_DEFAULTS = {
     "aperture_floor": 1e-3,
 }
 
+GEN_PAIRS_DEFAULTS = dict(
+    family="rotation", width=13, height=13, density=0.1, n_pairs=1000
+)
+
+GEN_VIDEOS_DEFAULTS = dict(width=13, height=13, density=0.1, n_clips=500, n_frames=6)
+
+GEN_GLYPHS_DEFAULTS = dict(width=16, height=16, per_class=100)
+
+# fig2's options that do not describe its data, plus the model's pooling and
+# gate nonlinearity
+TRAIN_DEFAULTS = dict(
+    {k: v for k, v in FIG2_DEFAULTS.items() if k not in GEN_PAIRS_DEFAULTS},
+    pooling="band",
+    nonlinearity="sigmoid",
+)
+
+# 0 stands for the checkpoint's or bank's geometry: width floor(sqrt(dim)),
+# height dim // width; a value set must still be at least 1.
+ANALYZE_DEFAULTS = dict(width=0, height=0)
+
+CLASSIFY_DEFAULTS = dict(width=16, height=16, per_class=150)
+
 EXPERIMENT_DEFAULTS = {
     "fig2": FIG2_DEFAULTS,
     "fig3": FIG3_DEFAULTS,
     "fig4": FIG4_DEFAULTS,
     "oracle": ORACLE_DEFAULTS,
+    "gen pairs": GEN_PAIRS_DEFAULTS,
+    "gen videos": GEN_VIDEOS_DEFAULTS,
+    "gen glyphs": GEN_GLYPHS_DEFAULTS,
+    "train": TRAIN_DEFAULTS,
+    "analyze": ANALYZE_DEFAULTS,
+    "classify": CLASSIFY_DEFAULTS,
 }
 
 
@@ -129,22 +157,32 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _option_type_error(default, value) -> Optional[str]:
-    """What ``value`` must be to replace ``default``, or None if it fits.
+def _option_error(key, default, value) -> Optional[str]:
+    """What ``value`` must be to set option ``key``, or None if it fits.
 
     Options take the type of their default; a bool is not an int, an int
-    may stand for a float, floats must be finite and a tuple is one of ints.
+    may stand for a float and a tuple is one of ints.  Integers are at
+    least 1 (``seed`` at least 0), floats finite and at least 0,
+    ``density`` lies in (0, 1) and ``family`` is a ``gen_dot_pairs`` family.
     """
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
-        return None if _is_int(value) else "an integer"
+        least = 0 if key == "seed" else 1
+        ok = _is_int(value) and value >= least
+        return None if ok else f"an integer >= {least}"
     if isinstance(default, float):
-        ok = isinstance(value, Real) and not isinstance(value, bool)
-        return None if ok and math.isfinite(value) else "a finite number"
+        real = isinstance(value, Real) and not isinstance(value, bool)
+        if key == "density":
+            ok = real and 0 < value < 1
+            return None if ok else "a number between 0 and 1, exclusive"
+        ok = real and math.isfinite(value) and value >= 0
+        return None if ok else "a finite number >= 0"
     if isinstance(default, tuple):
-        ok = isinstance(value, tuple) and all(map(_is_int, value))
-        return None if ok else "a comma-separated list of integers"
+        ok = isinstance(value, tuple) and all(_is_int(v) and v >= 1 for v in value)
+        return None if ok else "a comma-separated list of integers >= 1"
+    if key == "family":
+        return None if value in PAIR_FAMILIES else f"one of {', '.join(PAIR_FAMILIES)}"
     return None if isinstance(value, str) else "a string"
 
 
@@ -171,32 +209,30 @@ class ExperimentConfig:
 
     @classmethod
     def build(cls, experiment, out_dir, seed=0, config_file=None, overrides=None):
+        """Options of a pipeline or subcommand (a key of
+        ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then
+        by ``config_file``, then by ``overrides``.  Every value set must
+        pass ``_option_error``."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
-        merged: Dict[str, object] = {}
+        merged: Dict[str, object] = {"seed": seed}
         if config_file:
             merged.update(parse_config_file(config_file))
-        if overrides:
-            merged.update(overrides)
+        merged.update(overrides or {})
         for key, value in merged.items():
             default = 0 if key == "seed" else params.get(key)
             if default is None:
                 raise ConfigError(
-                    f"unknown option {key!r} for experiment {experiment} "
+                    f"unknown option {key!r} for {experiment} "
                     f"(known: {sorted(params)})"
                 )
-            expected = _option_type_error(default, value)
+            expected = _option_error(key, default, value)
             if expected:
                 raise ConfigError(f"option {key} must be {expected}, got {value!r}")
-            if key == "seed":
-                seed = value
-            else:
-                params[key] = value
-        if params.get("epochs", 1) < 1:
-            raise ConfigError("option epochs must be at least 1")
-        out_dir = Path(out_dir)
-        return cls(experiment, out_dir, int(seed), params)
+            params[key] = value
+        seed = params.pop("seed")
+        return cls(experiment, Path(out_dir), int(seed), params)
 
 
 @contextmanager
@@ -313,16 +349,10 @@ class Fig2Report:
 
 def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
     """Mean absolute pooled product response per band pair."""
-    fx = xs @ model.input_filters
-    fy = ys @ model.output_filters
-    products = fx * fy
-    pairs = model.n_factors // 2
-    return np.array(
-        [
-            np.abs(products[:, 2 * k] + products[:, 2 * k + 1]).mean()
-            for k in range(pairs)
-        ]
-    )
+    products = (xs @ model.input_filters) * (ys @ model.output_filters)
+    pooled = np.abs(products[:, 0::2] + products[:, 1::2])
+    # a contiguous row per pair keeps numpy's pairwise summation order
+    return np.ascontiguousarray(pooled.T).mean(axis=1)
 
 
 def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
@@ -533,6 +563,23 @@ def _balanced_subset(rng, labels, size):
     return chosen
 
 
+def glyph_accuracies(train, test, k=1) -> Dict[str, float]:
+    """Test accuracy of logistic regression on pooled codes and of logistic
+    regression and k-NN on pixels; ``train`` and ``test`` are
+    ``(codes, pixels, labels)`` triples."""
+    codes, pixels, labels = train
+    test_codes, test_pixels, test_labels = test
+    return {
+        "pooled_logreg": fit_logistic_regression(codes, labels).accuracy(
+            test_codes, test_labels
+        ),
+        "raw_logreg": fit_logistic_regression(pixels, labels).accuracy(
+            test_pixels, test_labels
+        ),
+        "raw_knn": knn_accuracy(pixels, labels, test_pixels, test_labels, k),
+    }
+
+
 def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
     p = cfg.params
     geometry = (int(p["width"]), int(p["height"]))
@@ -552,7 +599,7 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
         train_x, train_y = glyphs.subset("train")
         test_x, test_y = glyphs.subset("test")
         pooled_train = image_codes(model, train_x)
-        pooled_test = image_codes(model, test_x)
+        test = (image_codes(model, test_x), test_x, test_y)
 
         rng = np.random.default_rng(cfg.seed + 3)
         sizes = [int(s) for s in p["train_sizes"]]
@@ -562,23 +609,14 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
         for size in sizes:
             subset = _balanced_subset(rng, train_y, size)
             raw_x, raw_y = train_x[subset], train_y[subset]
-            pooled_x = pooled_train[subset]
+            per_size = glyph_accuracies((pooled_train[subset], raw_x, raw_y), test, k)
             pca = fit_pca(raw_x, min(int(p["pca_components"]), size - 1))
             pca_x = pca.transform(raw_x)
             pca_test = pca.transform(test_x)
-            per_size = {
-                "pooled_logreg": fit_logistic_regression(pooled_x, raw_y).accuracy(
-                    pooled_test, test_y
-                ),
-                "raw_logreg": fit_logistic_regression(raw_x, raw_y).accuracy(
-                    test_x, test_y
-                ),
-                "raw_knn": knn_accuracy(raw_x, raw_y, test_x, test_y, k),
-                "pca_logreg": fit_logistic_regression(pca_x, raw_y).accuracy(
-                    pca_test, test_y
-                ),
-                "pca_knn": knn_accuracy(pca_x, raw_y, pca_test, test_y, k),
-            }
+            per_size["pca_logreg"] = fit_logistic_regression(pca_x, raw_y).accuracy(
+                pca_test, test_y
+            )
+            per_size["pca_knn"] = knn_accuracy(pca_x, raw_y, pca_test, test_y, k)
             for method, accuracy in per_size.items():
                 accuracies.setdefault(method, {})[size] = accuracy
                 rows.append((size, method, accuracy))

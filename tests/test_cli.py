@@ -50,10 +50,26 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ("fig2", ["--set", "family=3"]),
         ("fig2", ["--set", "seed=abc"]),
         ("fig4", ["--set", "train_sizes=100,x"]),
+        ("gen pairs", ["--set", "width=abc"]),
+        ("gen pairs", ["--set", "n_pairs=-3"]),
+        ("gen videos", ["--set", "n_frames=0"]),
+        ("oracle", ["--set", "n_trials=0"]),
+        ("oracle", ["--set", "dim=0"]),
+        ("oracle", ["--set", "snr=-1"]),
+        ("fig2", ["--set", "n_pairs=0"]),
+        ("fig2", ["--set", "density=1.5"]),
+        ("train --data missing", ["--set", "learning_rate=nan"]),
+        ("classify --model missing", ["--set", "per_class=0"]),
+        ("oracle", ["--seed", "-1"]),
+        ("gen glyphs", ["--set", "bogus=1"]),
+        ("train --data missing", ["--set", "bogus=1"]),
+        ("analyze --model missing", ["--set", "bogus=1"]),
+        ("classify --model missing", ["--set", "bogus=1"]),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
-    code = main([command, "--out", str(tmp_path / "o")] + options)
+    # options are checked before a data, model or bank directory is read
+    code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
@@ -86,6 +102,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     _, rows = read_csv(tmp_path / "o" / "oracle.csv")
     assert rows[0][1] == "16"  # trials column reflects the flag override
+
+
+def test_gen_and_train_honour_config_file_and_flags_win(tmp_path):
+    config = tmp_path / "cfg"
+    config.write_text("n_pairs=5\nwidth=9\nheight=9\n")
+    data_dir = tmp_path / "data"
+    assert main(["gen", "pairs", "--out", str(data_dir), "--config", str(config)]) == 0
+    assert load_matrix(data_dir / "xs.wmat").shape == (5, 81)
+    args = ["gen", "pairs", "--out", str(tmp_path / "d7"), "--config", str(config)]
+    assert main(args + ["--set", "n_pairs=7"]) == 0
+    assert load_matrix(tmp_path / "d7" / "xs.wmat").shape == (7, 81)
+
+    config.write_text("n_factors=6\nn_mappings=3\nepochs=3\nbatch_size=5\n")
+    args = ["train", "--data", str(data_dir), "--config", str(config)]
+    assert main(args + ["--out", str(tmp_path / "t")]) == 0
+    assert load_matrix(tmp_path / "t" / "checkpoint" / "input_filters.wmat").shape == (
+        81,
+        6,
+    )
+    assert len(read_csv(tmp_path / "t" / "loss_curve.csv")[1]) == 3
+    assert main(args + ["--out", str(tmp_path / "t2"), "--set", "epochs=4"]) == 0
+    assert len(read_csv(tmp_path / "t2" / "loss_curve.csv")[1]) == 4
 
 
 def test_gen_train_analyze_classify_chain(tmp_path):

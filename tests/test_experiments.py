@@ -16,6 +16,7 @@ from warpcode.experiments import (
     ExperimentConfig,
     build_shift_bank,
     output_lock,
+    pair_energies,
     parse_config_file,
     run_detector_oracle,
     run_fig2,
@@ -23,6 +24,7 @@ from warpcode.experiments import (
     run_fig4,
     shift_readout_pool,
 )
+from warpcode.model import GatedModel
 from warpcode.storage import read_csv
 
 
@@ -206,6 +208,20 @@ class TestFig2Smoke:
         header, rows = read_csv(tmp_path / "mx" / "family_tags.csv")
         assert header == ["pair_index", "rotation_score", "tag"]
         assert len(rows) == TINY_FIG2["n_factors"] // 2
+
+
+    def test_pair_energies_match_per_pair_loop_bit_for_bit(self):
+        # quadrature.csv prints these energies, so the batched form must keep
+        # the per-pair loop's summation order exactly
+        rng = np.random.default_rng(0)
+        model = GatedModel.initialize(81, 81, 12, 4, seed=1)
+        xs, ys = rng.standard_normal((2, 3001, 81))
+        products = (xs @ model.input_filters) * (ys @ model.output_filters)
+        loop = [
+            np.abs(products[:, 2 * k] + products[:, 2 * k + 1]).mean()
+            for k in range(6)
+        ]
+        np.testing.assert_array_equal(pair_energies(model, xs, ys), loop)
 
 
 class TestFig3Smoke:
