@@ -82,31 +82,47 @@ def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None) -> float:
 # eigenmovie consistency
 
 
-def _phase_model_fit(frames: np.ndarray, theta: float):
-    """Least-squares base pair for the per-frame rotation model at theta.
+def _phase_residuals(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Least-squares residuals of the per-frame rotation model, one per theta.
 
-    Model: frames[s] = cos(theta s) c - sin(theta s) d.  Returns (residual,
-    c, d); when the sine design degenerates (theta near 0 or pi) d is pinned
-    to zero.
+    Model: frames[s] = cos(theta s) c - sin(theta s) d, with the base pair
+    (c, d) solved exactly for each theta; where the sine design degenerates
+    (theta near 0 or pi) d is pinned to zero.
     """
-    steps = np.arange(frames.shape[0])
-    cos_s = np.cos(theta * steps)
-    sin_s = np.sin(theta * steps)
-    scc = float(cos_s @ cos_s)
-    sss = float(sin_s @ sin_s)
-    scs = float(cos_s @ sin_s)
+    phases = np.multiply.outer(thetas, np.arange(frames.shape[0]))
+    cos_s = np.cos(phases)
+    sin_s = np.sin(phases)
+    scc = np.einsum("ts,ts->t", cos_s, cos_s)[:, None]
+    sss = np.einsum("ts,ts->t", sin_s, sin_s)[:, None]
+    scs = np.einsum("ts,ts->t", cos_s, sin_s)[:, None]
     rhs_c = cos_s @ frames
     rhs_d = -(sin_s @ frames)
     det = scc * sss - scs * scs
+    pinned = (det < 1e-12) | (sss < 1e-12)
+    det = np.where(pinned, 1.0, det)
+    c = np.where(pinned, rhs_c / scc, (sss * rhs_c + scs * rhs_d) / det)
+    d = np.where(pinned, 0.0, (scc * rhs_d + scs * rhs_c) / det)
+    modeled = cos_s[:, :, None] * c[:, None, :] - sin_s[:, :, None] * d[:, None, :]
+    return np.sum((frames - modeled) ** 2, axis=(1, 2))
+
+
+def _phase_residual(frames: np.ndarray, theta: float) -> float:
+    """``_phase_residuals`` at one angle, with the 2x2 solve in scalars.
+
+    The golden-section refinement makes one call per step, and at these
+    sizes a call costs its number of array operations, which the batched
+    form more than doubles.
+    """
+    phases = theta * np.arange(frames.shape[0])
+    design = np.array((np.cos(phases), np.sin(phases)))
+    (scc, scs), (_, sss) = design @ design.T
+    det = scc * sss - scs * scs
     if det < 1e-12 or sss < 1e-12:
-        c = rhs_c / max(scc, 1e-12)
-        d = np.zeros_like(c)
+        inverse = ((1.0 / scc, 0.0), (0.0, 0.0))
     else:
-        c = (sss * rhs_c - (-scs) * rhs_d) / det
-        d = (scc * rhs_d - (-scs) * rhs_c) / det
-    modeled = cos_s[:, None] * c[None, :] - sin_s[:, None] * d[None, :]
-    residual = float(np.sum((frames - modeled) ** 2))
-    return residual, c, d
+        inverse = ((sss / det, -scs / det), (-scs / det, scc / det))
+    residual = frames - design.T @ (np.array(inverse) @ (design @ frames))
+    return float(np.vdot(residual, residual))
 
 
 def eigenmovie_consistency(filter_frames) -> Tuple[float, float]:
@@ -119,6 +135,12 @@ def eigenmovie_consistency(filter_frames) -> Tuple[float, float]:
     direction is not identifiable from the fit (flipping the pair's
     imaginary part flips it), so theta is reported in [0, pi].
 
+    The fit runs on a lower triangle ``L`` of at most n_frames columns
+    rather than on the frames: with ``frames = L Q^T`` from a QR
+    factorization of ``frames^T``, every residual of the model equals the
+    one on ``L``, since the columns of ``Q`` are orthonormal.  Residuals
+    stay sums of squares, and all grid angles are solved in one batch.
+
     Returns ``(theta_hat, consistency_r2)``.
     """
     frames = np.asarray(filter_frames, dtype=np.float64)
@@ -129,29 +151,28 @@ def eigenmovie_consistency(filter_frames) -> Tuple[float, float]:
     total = float(np.sum(frames * frames))
     if total < 1e-24:
         raise DataError("all-zero filter sequence")
+    triangle = np.linalg.qr(frames.T, mode="r").T
     grid = np.linspace(0.0, np.pi, 361)
-    residuals = [_phase_model_fit(frames, theta)[0] for theta in grid]
-    best = int(np.argmin(residuals))
+    best = int(np.argmin(_phase_residuals(triangle, grid)))
     low = grid[max(best - 1, 0)]
     high = grid[min(best + 1, len(grid) - 1)]
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = low, high
     x1 = b - golden * (b - a)
     x2 = a + golden * (b - a)
-    f1 = _phase_model_fit(frames, x1)[0]
-    f2 = _phase_model_fit(frames, x2)[0]
+    f1 = _phase_residual(triangle, x1)
+    f2 = _phase_residual(triangle, x2)
     for _ in range(60):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - golden * (b - a)
-            f1 = _phase_model_fit(frames, x1)[0]
+            f1 = _phase_residual(triangle, x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + golden * (b - a)
-            f2 = _phase_model_fit(frames, x2)[0]
+            f2 = _phase_residual(triangle, x2)
     theta = float((a + b) / 2.0)
-    residual = _phase_model_fit(frames, theta)[0]
-    return theta, float(1.0 - residual / total)
+    return theta, 1.0 - _phase_residual(triangle, theta) / total
 
 
 # ---------------------------------------------------------------------------

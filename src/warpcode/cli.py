@@ -151,6 +151,12 @@ def _cmd_analyze(args):
         raise ConfigError("analyze needs --model or --bank")
     width = cfg.params["width"] or math.isqrt(dim)
     geometry = (width, cfg.params["height"] or dim // width)
+    if geometry[0] * geometry[1] != dim:
+        source = "bank" if args.bank else "checkpoint"
+        raise ConfigError(
+            f"width {geometry[0]} x height {geometry[1]} does not match the "
+            f"{source}'s dim {dim}; set width and height"
+        )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if args.bank:

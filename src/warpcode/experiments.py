@@ -157,18 +157,23 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _option_error(key, default, value) -> Optional[str]:
+# Integer options whose least value is not 1: fig3's consistency fit
+# (``eigenmovie_consistency``) needs at least three frames per clip.
+INTEGER_MINIMUMS = {("fig3", "n_frames"): 3}
+
+
+def _option_error(key, default, value, least=1) -> Optional[str]:
     """What ``value`` must be to set option ``key``, or None if it fits.
 
     Options take the type of their default; a bool is not an int, an int
     may stand for a float and a tuple is one of ints.  Integers are at
-    least 1 (``seed`` at least 0), floats finite and at least 0,
+    least ``least`` (``seed`` at least 0), floats finite and at least 0,
     ``density`` lies in (0, 1) and ``family`` is a ``gen_dot_pairs`` family.
     """
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
-        least = 0 if key == "seed" else 1
+        least = 0 if key == "seed" else least
         ok = _is_int(value) and value >= least
         return None if ok else f"an integer >= {least}"
     if isinstance(default, float):
@@ -212,7 +217,7 @@ class ExperimentConfig:
         """Options of a pipeline or subcommand (a key of
         ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then
         by ``config_file``, then by ``overrides``.  Every value set must
-        pass ``_option_error``."""
+        pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -227,7 +232,8 @@ class ExperimentConfig:
                     f"unknown option {key!r} for {experiment} "
                     f"(known: {sorted(params)})"
                 )
-            expected = _option_error(key, default, value)
+            least = INTEGER_MINIMUMS.get((experiment, key), 1)
+            expected = _option_error(key, default, value, least)
             if expected:
                 raise ConfigError(f"option {key} must be {expected}, got {value!r}")
             params[key] = value
@@ -549,13 +555,20 @@ class Fig4Report:
     model: GatedModel
 
 
-def _balanced_subset(rng, labels, size):
+def _balanced_subset(labels, size):
+    """Indices of ``size`` glyphs: the first ``size // 10`` of every class,
+    topped up in index order with glyphs not yet chosen."""
+    if size > labels.size:
+        raise ConfigError(
+            f"train size {size} exceeds the {labels.size} training glyphs; "
+            f"raise glyphs_per_class or lower train_sizes"
+        )
     per_class = size // 10
     chosen = []
     for digit in range(10):
         candidates = np.flatnonzero(labels == digit)
         chosen.extend(candidates[:per_class])
-    remaining = size - 10 * per_class
+    remaining = size - len(chosen)
     if remaining:
         leftovers = np.setdiff1d(np.arange(labels.size), np.array(chosen))
         chosen.extend(leftovers[:remaining])
@@ -591,23 +604,22 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
             density=float(p["density"]),
             seed=cfg.seed,
         )
-        model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
-
         glyphs = gen_rotated_glyphs(
             int(p["glyphs_per_class"]), geometry, seed=cfg.seed + 2
         )
         train_x, train_y = glyphs.subset("train")
         test_x, test_y = glyphs.subset("test")
+        sizes = [int(s) for s in p["train_sizes"]]
+        subsets = [_balanced_subset(train_y, size) for size in sizes]
+
+        model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
         pooled_train = image_codes(model, train_x)
         test = (image_codes(model, test_x), test_x, test_y)
 
-        rng = np.random.default_rng(cfg.seed + 3)
-        sizes = [int(s) for s in p["train_sizes"]]
         k = int(p["knn_k"])
         accuracies: Dict[str, Dict[int, float]] = {}
         rows = []
-        for size in sizes:
-            subset = _balanced_subset(rng, train_y, size)
+        for size, subset in zip(sizes, subsets):
             raw_x, raw_y = train_x[subset], train_y[subset]
             per_size = glyph_accuracies((pooled_train[subset], raw_x, raw_y), test, k)
             pca = fit_pca(raw_x, min(int(p["pca_components"]), size - 1))

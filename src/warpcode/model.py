@@ -327,7 +327,14 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
     Returns ``(loss, grads)`` with ``grads`` keyed by ``input_filters``,
     ``output_filters`` and ``across_pool``; for tied models the filter
     gradient is the sum of both roles, reported under ``input_filters``.
+
+    A symmetric loss on a tied model with ``ys is xs`` runs the mirrored
+    pass on the same filters and rows, so its result is that of the first
+    pass: the loss and gradients are doubled instead of recomputed.  This
+    is exact, since the two-pass sum ``(a + b) + (b + a)`` equals
+    ``2 (a + b)`` in floating point.
     """
+    mirrored = symmetric and model.tied and ys is xs
     xs = _as_matrix(xs, model.dim_x, "x")
     ys = _as_matrix(ys, model.dim_y, "y")
     if xs.shape[0] != ys.shape[0]:
@@ -345,6 +352,9 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
     loss, d_u, d_v, d_w = _one_sided_loss_and_grads(
         u, v, p, w, xs, ys, model.nonlinearity, model.gate_gain
     )
+    if mirrored:
+        grads = {"input_filters": 2.0 * (d_u + d_v), "across_pool": 2.0 * d_w}
+        return 2.0 * loss, grads
     if symmetric:
         rev_loss, rev_dv, rev_du, rev_dw = _one_sided_loss_and_grads(
             v, u, p, w, ys, xs, model.nonlinearity, model.gate_gain
@@ -428,8 +438,10 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
         epoch_loss = 0.0
         for start in range(0, xs.shape[0], config.batch_size):
             batch_idx = order[start : start + config.batch_size]
+            batch_xs = xs[batch_idx]
+            batch_ys = batch_xs if ys is xs else ys[batch_idx]
             loss, grads = loss_and_gradient(
-                model, xs[batch_idx], ys[batch_idx], symmetric=config.symmetric
+                model, batch_xs, batch_ys, symmetric=config.symmetric
             )
             if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise DivergenceError(epoch, loss)

@@ -133,6 +133,75 @@ class TestEigenmovieConsistency:
         with pytest.raises(DataError):
             eigenmovie_consistency(np.zeros((4, 10)))
 
+    @pytest.mark.parametrize("n_frames", [6, 10])
+    @pytest.mark.parametrize("dim", [30, 169, 1690])
+    def test_matches_scalar_reference_on_noise(self, n_frames, dim):
+        rng = np.random.default_rng(1000 * n_frames + dim)
+        for _ in range(3):
+            frames = rng.standard_normal((n_frames, dim))
+            assert_matches_reference(frames)
+
+    @pytest.mark.parametrize("theta", [0.83, 1e-5, 1e-3, np.pi - 1e-3, np.pi - 1e-5])
+    def test_matches_scalar_reference_on_rotations(self, theta):
+        # angles near 0 and pi exercise the pinned-sine branch
+        rng = np.random.default_rng(13)
+        base = random_pair(rng, dim=169)
+        frames = np.stack(
+            [
+                np.cos(theta * s) * base[:, 0] - np.sin(theta * s) * base[:, 1]
+                for s in range(10)
+            ]
+        )
+        frames += 1e-3 * rng.standard_normal(frames.shape)
+        assert_matches_reference(frames)
+
+
+def reference_eigenmovie_consistency(frames):
+    """The fit as a scalar loop over angles on the full frames: one base-pair
+    solve per angle, a 361-point grid, then 60 golden-section steps."""
+    steps = np.arange(frames.shape[0])
+
+    def residual(theta):
+        cos_s = np.cos(theta * steps)
+        sin_s = np.sin(theta * steps)
+        scc, sss, scs = cos_s @ cos_s, sin_s @ sin_s, cos_s @ sin_s
+        rhs_c = cos_s @ frames
+        rhs_d = -(sin_s @ frames)
+        det = scc * sss - scs * scs
+        if det < 1e-12 or sss < 1e-12:
+            c = rhs_c / max(scc, 1e-12)
+            d = np.zeros_like(c)
+        else:
+            c = (sss * rhs_c + scs * rhs_d) / det
+            d = (scc * rhs_d + scs * rhs_c) / det
+        modeled = np.outer(cos_s, c) - np.outer(sin_s, d)
+        return float(np.sum((frames - modeled) ** 2))
+
+    grid = np.linspace(0.0, np.pi, 361)
+    best = int(np.argmin([residual(theta) for theta in grid]))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = residual(x1), residual(x2)
+    for _ in range(60):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = residual(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = residual(x2)
+    theta = (a + b) / 2.0
+    return theta, 1.0 - residual(theta) / float(np.sum(frames * frames))
+
+
+def assert_matches_reference(frames):
+    theta, r2 = eigenmovie_consistency(frames)
+    expected_theta, expected_r2 = reference_eigenmovie_consistency(frames)
+    assert abs(theta - expected_theta) <= 1e-6
+    assert abs(r2 - expected_r2) <= 1e-12
+
 
 class TestInvarianceRatio:
     def test_identical_codes_within_orbits_score_zero(self):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from warpcode.cli import main
+from warpcode.detector import save_bank
+from warpcode.experiments import build_shift_bank
+from warpcode.model import GatedModel, save_model
 from warpcode.storage import load_matrix, read_csv
 
 
@@ -65,6 +68,7 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ("train --data missing", ["--set", "bogus=1"]),
         ("analyze --model missing", ["--set", "bogus=1"]),
         ("classify --model missing", ["--set", "bogus=1"]),
+        ("fig3", ["--set", "n_frames=2"]),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
@@ -73,6 +77,45 @@ def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, option
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source, options",
+    [
+        ("--model", ["--set", "width=7"]),
+        ("--model", ["--set", "width=16", "--set", "height=15"]),
+        ("--bank", ["--set", "width=5"]),
+    ],
+)
+def test_analyze_geometry_off_the_dim_exits_2(tmp_path, capsys, source, options):
+    if source == "--model":
+        save_model(GatedModel.initialize(256, 256, 4, 2, seed=1), tmp_path / "in")
+    else:
+        save_bank(build_shift_bank(16), tmp_path / "in")
+    args = ["analyze", source, str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    assert main(args + options) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys):
+    # 5 glyphs per class leave 31 training glyphs, fewer than 500
+    settings = [
+        "n_pairs=20",
+        "n_factors=4",
+        "n_mappings=2",
+        "epochs=1",
+        "glyphs_per_class=5",
+        "train_sizes=10,500",
+    ]
+    options = [arg for setting in settings for arg in ("--set", setting)]
+    assert main(["fig4", "--out", str(tmp_path / "o")] + options) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "500" in err and "31" in err
     assert err.count("\n") == 1
 
 

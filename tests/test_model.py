@@ -245,6 +245,45 @@ class TestLossAndGradient:
             numeric = finite_difference_grad(model, xs, ys, name)
             assert relative_error(grads[name], numeric) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "pooling,nonlinearity",
+        [
+            ("identity", "sigmoid"),
+            ("identity", "identity"),
+            ("band", "sigmoid"),
+            ("band", "identity"),
+        ],
+    )
+    def test_tied_symmetric_shortcut_is_bit_identical(self, pooling, nonlinearity):
+        # ys is xs takes the doubled one-sided pass; a copy takes both passes
+        rng = np.random.default_rng(31)
+        model = GatedModel.initialize(
+            12, 12, 8, 4, pooling=pooling, nonlinearity=nonlinearity, tied=True, seed=6
+        )
+        model.across_pool[:] = rng.standard_normal(model.across_pool.shape) * 0.5
+        model.gate_gain = 3.0
+        xs = rng.standard_normal((5, 12))
+        loss, grads = loss_and_gradient(model, xs, xs, symmetric=True)
+        two_pass_loss, two_pass_grads = loss_and_gradient(
+            model, xs, xs.copy(), symmetric=True
+        )
+        assert loss == two_pass_loss
+        assert set(grads) == set(two_pass_grads) == {"input_filters", "across_pool"}
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], two_pass_grads[name])
+
+    def test_tied_symmetric_shortcut_matches_finite_differences(self):
+        rng = np.random.default_rng(37)
+        model = GatedModel.initialize(
+            8, 8, 6, 3, pooling="band", nonlinearity="sigmoid", tied=True, seed=5
+        )
+        model.across_pool[:] = rng.standard_normal(model.across_pool.shape) * 0.5
+        xs = rng.standard_normal((4, 8))
+        _, grads = loss_and_gradient(model, xs, xs, symmetric=True)
+        for name in grads:
+            numeric = finite_difference_grad(model, xs, xs, name, symmetric=True)
+            assert relative_error(grads[name], numeric) <= 1e-4
+
     def test_duplicated_batch_leaves_loss_and_grads_unchanged(self):
         rng = np.random.default_rng(19)
         model = small_random_model(rng)
@@ -364,6 +403,22 @@ class TestTrain:
             results.append((trace.epoch_losses, model.input_filters.copy()))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    def test_tied_training_on_one_array_matches_a_copy(self):
+        # (rows, rows) trains through the tied symmetric shortcut,
+        # (rows, rows.copy()) through both passes
+        rng = np.random.default_rng(67)
+        rows = rng.standard_normal((60, 12))
+        results = []
+        for ys in (rows, rows.copy()):
+            model = GatedModel.initialize(
+                12, 12, 8, 4, pooling="identity", tied=True, seed=21
+            )
+            config = TrainConfig(0.2, 3, 10, seed=22, symmetric=True)
+            trace = train(model, (rows, ys), config)
+            results.append((trace.epoch_losses, model.input_filters, model.across_pool))
+        for once, twice in zip(*results):
+            np.testing.assert_array_equal(once, twice)
 
     def test_shift_training_halves_the_loss(self):
         # Recorded desk-scale run: final/initial ~ 0.2 at these settings.
