@@ -18,19 +18,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _require_finite(name, values):
+    if not np.isfinite(values).all():
+        raise DataError(f"{name} hold non-finite values")
+
+
+def _multinomial_grad(weights, intercept, features, one_hot, l2):
+    """Class probabilities and the (weight, intercept) gradient of the loss."""
+    probabilities = softmax(features @ weights + intercept)
+    delta = (probabilities - one_hot) / features.shape[0]
+    grad_w = features.T @ delta + l2 * weights
+    grad_b = delta.sum(axis=0)
+    return probabilities, grad_w, grad_b
+
+
 def multinomial_loss_and_grad(weights, intercept, features, one_hot, l2):
     """Mean cross-entropy with L2 on the weights (not the intercept).
 
     Returns (loss, weight gradient, intercept gradient).
     """
-    n = features.shape[0]
-    probabilities = softmax(features @ weights + intercept)
+    probabilities, grad_w, grad_b = _multinomial_grad(
+        weights, intercept, features, one_hot, l2
+    )
     loss = -np.log(
         np.maximum((probabilities * one_hot).sum(axis=1), 1e-300)
     ).mean() + 0.5 * l2 * float(np.sum(weights * weights))
-    delta = (probabilities - one_hot) / n
-    grad_w = features.T @ delta + l2 * weights
-    grad_b = delta.sum(axis=0)
     return float(loss), grad_w, grad_b
 
 
@@ -44,6 +56,12 @@ class LogisticModel:
 
     def predict(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.weights.shape[0]:
+            raise DimensionError(
+                f"features of shape {features.shape} do not fit a model of "
+                f"{self.weights.shape[0]} features"
+            )
+        _require_finite("features to predict", features)
         standardized = (features - self.feature_mean) / self.feature_scale
         logits = standardized @ self.weights + self.intercept
         return self.classes[np.argmax(logits, axis=1)]
@@ -65,13 +83,15 @@ def fit_logistic_regression(
     Features are standardized internally; the returned model folds the
     scaler in, so ``predict`` takes raw features.  The weight step is capped
     at ``1 / l2``, beyond which the penalty alone makes the iteration
-    diverge; the unpenalized intercept keeps ``learning_rate``.  A fit that
-    still ends non-finite raises ``DataError``.
+    diverge; the unpenalized intercept keeps ``learning_rate``.  The loop
+    evaluates only the gradient, never the loss.  Non-finite features, and a
+    fit that still ends non-finite, raise ``DataError``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise DimensionError("features and labels disagree in length")
+    _require_finite("logistic-regression features", features)
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError("logistic regression needs at least two classes")
@@ -86,7 +106,7 @@ def fit_logistic_regression(
     velocity_b = np.zeros_like(intercept)
     weight_rate = min(learning_rate, 1.0 / l2) if l2 > 0 else learning_rate
     for _ in range(n_iterations):
-        _, grad_w, grad_b = multinomial_loss_and_grad(
+        _, grad_w, grad_b = _multinomial_grad(
             weights, intercept, standardized, one_hot, l2
         )
         velocity_w = momentum * velocity_w - weight_rate * grad_w
@@ -111,6 +131,8 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
         raise DataError("empty training set")
     if not 1 <= k <= train_features.shape[0]:
         raise DataError(f"k={k} outside 1..{train_features.shape[0]}")
+    _require_finite("k-NN training features", train_features)
+    _require_finite("k-NN query features", test_features)
     train_sq = (train_features**2).sum(axis=1)
     predictions = np.empty(test_features.shape[0], dtype=train_labels.dtype)
     for i, point in enumerate(test_features):
@@ -150,6 +172,7 @@ def fit_pca(features, n_components: int) -> PcaProjector:
     n_components = min(n_components, features.shape[0] - 1, features.shape[1])
     if n_components < 1:
         raise DataError("PCA needs at least two samples")
+    _require_finite("PCA features", features)
     mean = features.mean(axis=0)
     _, _, vt = np.linalg.svd(features - mean, full_matrices=False)
     return PcaProjector(mean, vt[:n_components].T)

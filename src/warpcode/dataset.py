@@ -323,16 +323,36 @@ GLYPH_STROKES = {
 }
 
 
-def _segment_distances(points, starts, ends):
-    """Distance from each point to each segment; (n_points, n_segments)."""
-    deltas = ends - starts
-    lengths_sq = np.maximum((deltas**2).sum(axis=1), 1e-12)
-    offsets = points[:, None, :] - starts[None, :, :]
-    t = np.clip(
-        (offsets * deltas[None, :, :]).sum(axis=2) / lengths_sq[None, :], 0.0, 1.0
-    )
-    nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
-    return np.linalg.norm(points[:, None, :] - nearest, axis=2)
+def _segment_distances(xs, ys, starts, ends):
+    """Squared distance from each pixel centre to each segment.
+
+    The pixel centres form the grid ``ys x xs``; the result has shape
+    ``(len(ys), len(xs), n_segments)``.  With ``p`` a pixel centre, ``s`` a
+    segment start and ``d`` its direction, the foot parameter is
+    ``t = clip(((px - sx) dx + (py - sy) dy) / |d|^2, 0, 1)`` and the offset
+    is ``p - (s + t d)``.  The x and y parts are kept as separate arrays, so
+    every sum runs over the same two terms in the same order as a reduction
+    over a trailing coordinate axis would.  ``(px - sx) dx`` depends only on
+    the column and ``(py - sy) dy`` only on the row, so each is computed once
+    per column or row.
+    """
+    sx, sy = starts[:, 0], starts[:, 1]
+    dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
+    lengths_sq = np.maximum(dx * dx + dy * dy, 1e-12)
+    t = ((xs[:, None] - sx) * dx)[None, :, :] + ((ys[:, None] - sy) * dy)[:, None, :]
+    t /= lengths_sq
+    np.clip(t, 0.0, 1.0, out=t)
+    # In place from here on: each line is one step of p - (s + t d), squared.
+    nx = t * dx
+    nx += sx
+    np.subtract(xs[None, :, None], nx, out=nx)
+    ny = np.multiply(t, dy, out=t)
+    ny += sy
+    np.subtract(ys[:, None, None], ny, out=ny)
+    nx *= nx
+    ny *= ny
+    nx += ny
+    return nx
 
 
 def render_glyph(
@@ -346,7 +366,10 @@ def render_glyph(
     """Rasterize one digit glyph, optionally rotated about the patch center.
 
     Rotation is applied to the stroke geometry before rasterizing, so the
-    result is crisp at any angle.
+    result is crisp at any angle.  Each pixel's distance to the nearest
+    stroke is the square root of the smallest squared segment distance;
+    ``sqrt`` is monotone and correctly rounded, so this equals the smallest
+    distance exactly.
     """
     width, height = geometry
     strokes = GLYPH_STROKES[digit]
@@ -359,13 +382,10 @@ def render_glyph(
         ends.append(pts[1:])
     starts = np.concatenate(starts)
     ends = np.concatenate(ends)
-    cols, rows = np.meshgrid(np.arange(width), np.arange(height))
-    points = np.stack(
-        [(cols.ravel() + 0.5) / width, (rows.ravel() + 0.5) / height], axis=1
-    )
-    distances = _segment_distances(points, starts, ends).min(axis=1)
-    intensity = np.clip(1.0 - distances / thickness, 0.0, 1.0)
-    return intensity.reshape(height, width)
+    xs = (np.arange(width) + 0.5) / width
+    ys = (np.arange(height) + 0.5) / height
+    distances = np.sqrt(_segment_distances(xs, ys, starts, ends).min(axis=2))
+    return np.clip(1.0 - distances / thickness, 0.0, 1.0)
 
 
 def gen_rotated_glyphs(

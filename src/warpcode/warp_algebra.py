@@ -120,7 +120,11 @@ def make_translation_warp(width: int, height: int, dx: int, dy: int) -> WarpMatr
 
 
 class _RotationPlan:
-    """Shear schedule for rotating a ``height x width`` patch about its center."""
+    """Shear schedule for rotating a ``height x width`` patch about its center.
+
+    The complex phase tables of the row and column shears are built once per
+    plan; the first and third shears share the row table.
+    """
 
     def __init__(self, width: int, height: int, angle: float):
         self.width = width
@@ -137,21 +141,26 @@ class _RotationPlan:
             self.quarter_turns = 0
             residual = folded
         self.residual_angle = residual
-        row_offsets = np.arange(height) - (height - 1) / 2.0
-        col_offsets = np.arange(width) - (width - 1) / 2.0
-        # Signs account for the row index growing downward while the display
-        # y axis grows upward; positive angles rotate counterclockwise.
-        self.row_shifts = np.tan(residual / 2.0) * row_offsets
-        self.col_shifts = -np.sin(residual) * col_offsets
+        if residual != 0.0:
+            row_offsets = np.arange(height) - (height - 1) / 2.0
+            col_offsets = np.arange(width) - (width - 1) / 2.0
+            # Signs account for the row index growing downward while the
+            # display y axis grows upward; positive angles rotate
+            # counterclockwise.
+            row_shifts = np.tan(residual / 2.0) * row_offsets
+            col_shifts = -np.sin(residual) * col_offsets
+            self.row_phase = self._shear_phase(row_shifts, width)
+            self.col_phase = self._shear_phase(col_shifts, height)
 
     def apply(self, image: np.ndarray) -> np.ndarray:
         """Rotate one ``height x width`` image (returns a new array)."""
         out = image.reshape(self.height, self.width)
         out = np.rot90(out, self.quarter_turns)
         if self.residual_angle != 0.0:
-            out = self._shear_rows(out, self.row_shifts)
-            out = self._shear_cols(out, self.col_shifts)
-            out = self._shear_rows(out, self.row_shifts)
+            out = self._shear_rows(out, self.row_phase)
+            # The column shear is a row shear of the transpose.
+            out = np.ascontiguousarray(self._shear_rows(out.T, self.col_phase).T)
+            out = self._shear_rows(out, self.row_phase)
         return np.ascontiguousarray(out)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
@@ -163,18 +172,18 @@ class _RotationPlan:
         return out
 
     @staticmethod
-    def _shear_rows(image: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        n = image.shape[1]
+    def _shear_phase(shifts: np.ndarray, n: int) -> np.ndarray:
+        """Fourier phases shifting row ``i`` of an ``n``-wide image by ``shifts[i]``."""
         freqs = np.fft.fftfreq(n) * n
         phase = np.exp(-2j * np.pi * freqs[None, :] * shifts[:, None] / n)
         if n % 2 == 0:
             # The Nyquist bin must stay real; +-1 keeps each shear orthogonal.
             phase[:, n // 2] = np.where(np.cos(np.pi * shifts) >= 0.0, 1.0, -1.0)
-        return np.fft.ifft(phase * np.fft.fft(image, axis=1), axis=1).real
+        return phase
 
-    @classmethod
-    def _shear_cols(cls, image: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(cls._shear_rows(image.T, shifts).T)
+    @staticmethod
+    def _shear_rows(image: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(phase * np.fft.fft(image, axis=1), axis=1).real
 
 
 def rotate_image(image: np.ndarray, angle: float) -> np.ndarray:

@@ -10,7 +10,31 @@ from warpcode.classifiers import (
     knn_accuracy,
     multinomial_loss_and_grad,
 )
-from warpcode.errors import DataError
+from warpcode.errors import DataError, DimensionError
+
+
+def reference_fit(features, labels, l2=1e-3, learning_rate=1.0, momentum=0.9):
+    """fit_logistic_regression's loop, evaluating the loss at every step."""
+    mean = features.mean(axis=0)
+    scale = features.std(axis=0)
+    scale[scale < 1e-8] = 1.0
+    standardized = (features - mean) / scale
+    classes = np.unique(labels)
+    one_hot = (labels[:, None] == classes[None, :]).astype(np.float64)
+    weights = np.zeros((features.shape[1], classes.size))
+    intercept = np.zeros(classes.size)
+    velocity_w = np.zeros_like(weights)
+    velocity_b = np.zeros_like(intercept)
+    weight_rate = min(learning_rate, 1.0 / l2)
+    for _ in range(600):
+        _, grad_w, grad_b = multinomial_loss_and_grad(
+            weights, intercept, standardized, one_hot, l2
+        )
+        velocity_w = momentum * velocity_w - weight_rate * grad_w
+        velocity_b = momentum * velocity_b - learning_rate * grad_b
+        weights += velocity_w
+        intercept += velocity_b
+    return weights, intercept
 
 
 class TestLogisticRegression:
@@ -71,6 +95,36 @@ class TestLogisticRegression:
         with pytest.raises(DataError):
             fit_logistic_regression(np.zeros((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("n, d, n_classes", [(60, 8, 3), (20, 40, 4), (50, 6, 2)])
+    def test_fit_equals_loss_evaluating_reference_bitwise(self, n, d, n_classes):
+        rng = np.random.default_rng(n + d)
+        features = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d)
+        labels = np.arange(n) % n_classes
+        model = fit_logistic_regression(features, labels)
+        weights, intercept = reference_fit(features, labels)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.intercept, intercept)
+
+    def test_nan_features_rejected_before_fitting(self):
+        features = np.random.default_rng(6).standard_normal((20, 3))
+        features[4, 1] = np.nan
+        with pytest.raises(DataError, match="logistic-regression features"):
+            fit_logistic_regression(features, np.arange(20) % 2)
+
+    def test_predict_rejects_nan_row(self):
+        rng = np.random.default_rng(7)
+        model = fit_logistic_regression(rng.standard_normal((20, 3)), np.arange(20) % 2)
+        rows = rng.standard_normal((4, 3))
+        rows[2, 0] = np.nan
+        with pytest.raises(DataError, match="features to predict"):
+            model.predict(rows)
+
+    def test_predict_rejects_wrong_width(self):
+        rng = np.random.default_rng(8)
+        model = fit_logistic_regression(rng.standard_normal((20, 3)), np.arange(20) % 2)
+        with pytest.raises(DimensionError):
+            model.predict(rng.standard_normal((4, 4)))
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         features = rng.standard_normal((30, 4))
@@ -106,6 +160,16 @@ class TestKnn:
         out = classify_knn(train, labels, np.array([[0.0]]), k=2)
         assert out[0] == 3
 
+    def test_nan_query_rejected(self):
+        train = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="query features"):
+            classify_knn(train, np.array([0, 1]), np.array([[np.nan, 0.0]]), k=1)
+
+    def test_inf_training_row_rejected(self):
+        train = np.array([[0.0, 0.0], [np.inf, 1.0]])
+        with pytest.raises(DataError, match="training features"):
+            classify_knn(train, np.array([0, 1]), np.array([[0.5, 0.0]]), k=1)
+
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             classify_knn(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), 1)
@@ -130,3 +194,9 @@ class TestPca:
         rng = np.random.default_rng(9)
         projector = fit_pca(rng.standard_normal((4, 10)), 200)
         assert projector.components.shape[1] == 3
+
+    def test_nan_features_rejected(self):
+        features = np.random.default_rng(10).standard_normal((6, 3))
+        features[0, 2] = np.nan
+        with pytest.raises(DataError, match="PCA features"):
+            fit_pca(features, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from warpcode.dataset import (
+    GLYPH_STROKES,
     LabeledImageSet,
     gen_dot_pairs,
     gen_rotated_glyphs,
@@ -156,6 +157,59 @@ class TestVideos:
         np.testing.assert_array_equal(a.clips, b.clips)
 
 
+def reference_segment_distances(points, starts, ends):
+    """The axis-2 rasteriser kernel: unsquared distances, (n_points, n_segments)."""
+    deltas = ends - starts
+    lengths_sq = np.maximum((deltas**2).sum(axis=1), 1e-12)
+    offsets = points[:, None, :] - starts[None, :, :]
+    t = np.clip(
+        (offsets * deltas[None, :, :]).sum(axis=2) / lengths_sq[None, :], 0.0, 1.0
+    )
+    nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
+    return np.linalg.norm(points[:, None, :] - nearest, axis=2)
+
+
+def reference_render_glyph(digit, geometry, thickness, offset, scale, rotation):
+    width, height = geometry
+    starts, ends = [], []
+    c, s = np.cos(rotation), np.sin(rotation)
+    rot = np.array([[c, s], [-s, c]])
+    for polyline in GLYPH_STROKES[digit]:
+        pts = (polyline - 0.5) * scale @ rot.T + 0.5 + np.asarray(offset)
+        starts.append(pts[:-1])
+        ends.append(pts[1:])
+    starts = np.concatenate(starts)
+    ends = np.concatenate(ends)
+    cols, rows = np.meshgrid(np.arange(width), np.arange(height))
+    points = np.stack(
+        [(cols.ravel() + 0.5) / width, (rows.ravel() + 0.5) / height], axis=1
+    )
+    distances = reference_segment_distances(points, starts, ends).min(axis=1)
+    intensity = np.clip(1.0 - distances / thickness, 0.0, 1.0)
+    return intensity.reshape(height, width)
+
+
+def reference_glyph_images(n_per_class, geometry, seed):
+    """gen_rotated_glyphs' images, rendered one by one with the reference."""
+    rng = np.random.default_rng(seed)
+    images = []
+    for digit in range(10):
+        for _ in range(n_per_class):
+            while True:
+                thickness = 0.055 * rng.uniform(0.8, 1.25)
+                offset = rng.uniform(-0.05, 0.05, size=2)
+                scale = rng.uniform(0.9, 1.1)
+                angle = rng.uniform(-np.pi, np.pi)
+                raw = reference_render_glyph(
+                    digit, geometry, thickness, offset, scale, angle
+                )
+                patch = contrast_normalize(raw.ravel())
+                if not patch.degenerate:
+                    break
+            images.append(patch.values)
+    return np.stack(images)[rng.permutation(10 * n_per_class)]
+
+
 class TestGlyphs:
     def test_labels_uniform_by_construction(self):
         glyphs = gen_rotated_glyphs(12, (16, 16), seed=1)
@@ -187,6 +241,35 @@ class TestGlyphs:
         img = render_glyph(3, (18, 16))
         assert img.shape == (16, 18)
         assert img.max() <= 1.0 and img.min() >= 0.0
+
+    @pytest.mark.parametrize("geometry", [(16, 16), (20, 17)])
+    def test_render_glyph_equals_axis_reference_bitwise(self, geometry):
+        rng = np.random.default_rng(11)
+        fixed = [0.0, np.pi, -np.pi, np.pi / 4, -np.pi / 4]
+        for digit in range(10):
+            for angle in fixed + list(rng.uniform(-np.pi, np.pi, size=4)):
+                for jitter in (False, True):
+                    thickness, offset, scale = 0.055, np.zeros(2), 1.0
+                    if jitter:
+                        thickness = 0.055 * rng.uniform(0.8, 1.25)
+                        offset = rng.uniform(-0.05, 0.05, size=2)
+                        scale = rng.uniform(0.9, 1.1)
+                    got = render_glyph(
+                        digit,
+                        geometry,
+                        thickness=thickness,
+                        offset=offset,
+                        scale=scale,
+                        rotation=angle,
+                    )
+                    want = reference_render_glyph(
+                        digit, geometry, thickness, offset, scale, angle
+                    )
+                    assert np.array_equal(got, want), (digit, angle, jitter)
+
+    def test_generated_glyphs_equal_reference_loop_bitwise(self):
+        glyphs = gen_rotated_glyphs(25, (16, 16), seed=7)
+        assert np.array_equal(glyphs.images, reference_glyph_images(25, (16, 16), 7))
 
 
 class TestWmat:

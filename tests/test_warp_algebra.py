@@ -76,6 +76,31 @@ class TestCyclicShift:
         assert sum(b.is_two_dimensional for b in decomposition.blocks) == 1
 
 
+def reference_rotate_image(image, angle):
+    """Three-shear rotation rebuilding each shear's phase table per call."""
+
+    def shear_rows(img, shifts):
+        n = img.shape[1]
+        freqs = np.fft.fftfreq(n) * n
+        phase = np.exp(-2j * np.pi * freqs[None, :] * shifts[:, None] / n)
+        if n % 2 == 0:
+            phase[:, n // 2] = np.where(np.cos(np.pi * shifts) >= 0.0, 1.0, -1.0)
+        return np.fft.ifft(phase * np.fft.fft(img, axis=1), axis=1).real
+
+    height, width = image.shape
+    folded = wrap_angle(angle)
+    quarter_turns = int(np.round(folded / (np.pi / 2.0))) if width == height else 0
+    residual = folded - quarter_turns * np.pi / 2.0
+    row_shifts = np.tan(residual / 2.0) * (np.arange(height) - (height - 1) / 2.0)
+    col_shifts = -np.sin(residual) * (np.arange(width) - (width - 1) / 2.0)
+    out = np.rot90(image, quarter_turns)
+    if residual != 0.0:
+        out = shear_rows(out, row_shifts)
+        out = np.ascontiguousarray(shear_rows(out.T, col_shifts).T)
+        out = shear_rows(out, row_shifts)
+    return np.ascontiguousarray(out)
+
+
 class TestRotationWarp:
     def test_zero_angle_is_identity(self):
         warp = make_rotation_warp(9, 9, 0.0)
@@ -112,6 +137,20 @@ class TestRotationWarp:
         np.testing.assert_allclose(
             rotate_image(img, 0.7).ravel(), warp.entries @ img.ravel(), atol=1e-12
         )
+
+    @pytest.mark.parametrize("height, width", [(16, 16), (13, 13), (12, 17), (17, 12)])
+    def test_rotate_image_equals_per_call_phase_reference_bitwise(self, height, width):
+        rng = np.random.default_rng(height * width)
+        img = rng.standard_normal((height, width))
+        if height == width:
+            angles = [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 0.3 + np.pi / 2]
+            angles += list(rng.uniform(-np.pi, np.pi, size=40))
+        else:
+            angles = [0.0, np.pi / 4, -np.pi / 4]
+            angles += list(rng.uniform(-np.pi / 4, np.pi / 4, size=40))
+        for angle in angles:
+            want = reference_rotate_image(img, angle)
+            assert np.array_equal(rotate_image(img, angle), want), angle
 
     def test_small_patch_rejected(self):
         with pytest.raises(DimensionError):
