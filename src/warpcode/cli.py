@@ -192,6 +192,11 @@ def _cmd_classify(args):
     cfg = _config("classify", args)
     p, out = cfg.params, cfg.out_dir
     model = load_model(Path(args.model))
+    if p["width"] * p["height"] != model.dim_x:
+        raise ConfigError(
+            f"width {p['width']} x height {p['height']} does not match the "
+            f"checkpoint's dim {model.dim_x}; set width and height"
+        )
     glyphs = gen_rotated_glyphs(
         p["per_class"], (p["width"], p["height"]), seed=cfg.seed
     )

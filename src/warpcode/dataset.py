@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
-from .patches import ImagePatch, contrast_normalize
+from .patches import ImagePatch, contrast_normalize, normalize_rows
 from .storage import read_idx, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from .warp_algebra import rotate_image
 
@@ -252,6 +252,7 @@ def gen_videos(
     rng = np.random.default_rng(seed)
     dim = _geometry_dim(geometry)
     clips = np.empty((n_clips, n_frames, dim))
+    raw_frames = np.empty((n_frames, dim))
     descriptors = []
     made = 0
     while made < n_clips:
@@ -260,25 +261,20 @@ def gen_videos(
             (family, _draw_segment_parameter(rng, geometry, family), frames)
             for family, frames in schedule
         ]
-        frames_out = []
+        # the frame loop draws no random numbers, so warping every frame
+        # before the degenerate check keeps the draw order
         current = np.asarray(raw, dtype=np.float64)
-        degenerate = False
         for family, parameter, (first, last) in params:
             for t in range(first, last + 1):
                 if t > 1:
                     current = _apply_label(
                         current, WarpLabel(family, parameter), geometry
                     )
-                patch = contrast_normalize(current.ravel())
-                if patch.degenerate:
-                    degenerate = True
-                    break
-                frames_out.append(patch.values)
-            if degenerate:
-                break
-        if degenerate:
+                raw_frames[t - 1] = current.ravel()
+        values, degenerate = normalize_rows(raw_frames)
+        if degenerate.any():
             continue
-        clips[made] = np.stack(frames_out)
+        clips[made] = values
         descriptors.append(tuple(params))
         made += 1
     return VideoDataset(clips, descriptors, geometry)
@@ -468,7 +464,7 @@ def load_idx(images_path, labels_path, split_tag: str = "train") -> LabeledImage
         )
     n, height, width = images.shape
     flat = images.reshape(n, height * width).astype(np.float64) / 255.0
-    normalized = np.stack([contrast_normalize(row).values for row in flat])
+    normalized = normalize_rows(flat)[0]
     split = np.full(n, split_tag)
     return LabeledImageSet(
         normalized, labels.astype(np.int64), split, (width, height)

@@ -36,7 +36,8 @@ from .model import (
     standardizing_gain,
     train,
 )
-from .patches import contrast_normalize
+# contrast_normalize is unused here but stays bound: perfbench/tracer.py rebinds it
+from .patches import contrast_normalize, normalize_rows
 from .storage import write_csv
 from .warp_algebra import decompose, make_cyclic_shift, wrap_angle
 
@@ -653,14 +654,17 @@ class OracleReport:
 def shift_readout_pool(bank: DetectorBank, n_shifts: int) -> np.ndarray:
     """Across-subspace pooling whose output s sums every detector whose
     preferred angle equals shift s's rotation in its block."""
-    pool = np.zeros((bank.n_detectors, n_shifts))
-    for det in range(bank.n_detectors):
-        block = bank.blocks[bank.detector_block[det]]
-        for s in range(n_shifts):
-            expected = wrap_angle(s * block.angle)
-            if abs(wrap_angle(bank.detector_angle[det] - expected)) <= 1e-9:
-                pool[det, s] = 1.0
-    return pool
+    block_angle = np.array([bank.blocks[b].angle for b in bank.detector_block])
+    expected = _wrap_angles(np.outer(block_angle, np.arange(n_shifts)))
+    offset = _wrap_angles(bank.detector_angle[:, None] - expected)
+    return (np.abs(offset) <= 1e-9).astype(np.float64)
+
+
+def _wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` elementwise: into (-pi, pi], with -pi folded to pi."""
+    wrapped = np.arctan2(np.sin(angles), np.cos(angles))
+    wrapped[wrapped == -np.pi] = np.pi
+    return wrapped
 
 
 def build_shift_bank(dim: int) -> DetectorBank:
@@ -679,9 +683,8 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
     with output_lock(cfg.out_dir):
         bank = build_shift_bank(dim)
         rng = np.random.default_rng(cfg.seed)
-        signals = np.stack(
-            [contrast_normalize(rng.standard_normal(dim)).values for _ in range(n_trials)]
-        )
+        # one (n_trials, dim) draw is the stream of n_trials draws of dim
+        signals = normalize_rows(rng.standard_normal((n_trials, dim)))[0]
         # live-subspace count per trial (aperture condition on the input side)
         live_per_trial = np.zeros(n_trials, dtype=np.int64)
         for block in bank.blocks:
@@ -699,7 +702,8 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
             if snr > 0:
                 noise = noise_rngs[s].standard_normal(ys.shape)
                 noise *= np.sqrt((ys**2).sum(axis=1, keepdims=True) / (snr * dim))
-                ys = np.stack([contrast_normalize(row).values for row in ys + noise])
+                noise += ys  # in place: a third (n, dim) array raised the peak RSS
+                ys = normalize_rows(noise)[0]
             _, pooled = batch_pooled_responses(bank, signals, ys)
             return np.argmax(pooled, axis=1) == s
 

@@ -101,6 +101,19 @@ def test_analyze_geometry_off_the_dim_exits_2(tmp_path, capsys, source, options)
     assert not (tmp_path / "o").exists()
 
 
+def test_classify_geometry_off_the_checkpoint_dim_exits_2(tmp_path, capsys):
+    # a 13x13 checkpoint, as `gen pairs` and `train` make at their defaults,
+    # against classify's default 16x16 glyphs
+    save_model(GatedModel.initialize(169, 169, 4, 2, seed=1), tmp_path / "in")
+    args = ["classify", "--model", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "169" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys):
     # 5 glyphs per class leave 31 training glyphs, fewer than 500
     settings = [

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from warpcode import dataset
 from warpcode.dataset import (
     GLYPH_STROKES,
     LabeledImageSet,
@@ -15,7 +16,7 @@ from warpcode.dataset import (
     render_glyph,
 )
 from warpcode.errors import DataError, FormatError
-from warpcode.patches import ImagePatch, contrast_normalize
+from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import (
     load_matrix,
     read_pgm,
@@ -50,6 +51,70 @@ class TestContrastNormalize:
     def test_lying_normalized_flag_rejected(self):
         with pytest.raises(ValueError):
             ImagePatch(np.ones(4), normalized=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            contrast_normalize([bad, 1.0, 2.0])
+
+    def test_nan_patch_cannot_claim_normalized(self):
+        with pytest.raises(ValueError, match="flagged normalized"):
+            ImagePatch(np.array([np.nan, 0.0]), normalized=True)
+
+
+def reference_normalize_rows(rows):
+    """``normalize_rows`` as the per-row loop it replaces."""
+    patches = [contrast_normalize(row) for row in rows]
+    return (
+        np.stack([patch.values for patch in patches]),
+        np.array([patch.degenerate for patch in patches]),
+    )
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("dim", [7, 8, 9, 32, 129, 169, 256, 300, 1690])
+    def test_equals_per_row_contrast_normalize_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        gaussian = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10, (40, 1))
+        gaussian += rng.uniform(-5, 5, (40, 1))
+        dots = (rng.random((40, dim)) < 0.1).astype(np.float64)
+        for rows in (gaussian, dots):
+            values, degenerate = normalize_rows(rows)
+            expected, expected_degenerate = reference_normalize_rows(rows)
+            assert_bitwise_equal(values, expected)
+            np.testing.assert_array_equal(degenerate, expected_degenerate)
+
+    def test_constant_rows_degenerate_to_zero(self):
+        rows = np.random.default_rng(3).standard_normal((5, 12))
+        rows[1] = 3.7
+        rows[3] = 0.0
+        values, degenerate = normalize_rows(rows)
+        np.testing.assert_array_equal(degenerate, [False, True, False, True, False])
+        np.testing.assert_array_equal(values[[1, 3]], np.zeros((2, 12)))
+        assert_bitwise_equal(values, reference_normalize_rows(rows)[0])
+
+    def test_single_row(self):
+        row = np.random.default_rng(4).standard_normal((1, 20))
+        values, degenerate = normalize_rows(row)
+        assert_bitwise_equal(values[0], contrast_normalize(row[0]).values)
+        np.testing.assert_array_equal(degenerate, [False])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_input_rejected(self, shape):
+        with pytest.raises(DataError):
+            normalize_rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        rows = np.ones((3, 4)) * np.arange(4)
+        rows[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            normalize_rows(rows)
 
 
 class TestDotPairs:
@@ -155,6 +220,80 @@ class TestVideos:
         a = gen_videos(3, 16, 4, [("cyclic_shift", (1, 4))], seed=7)
         b = gen_videos(3, 16, 4, [("cyclic_shift", (1, 4))], seed=7)
         np.testing.assert_array_equal(a.clips, b.clips)
+
+    @pytest.mark.parametrize(
+        "geometry, n_frames, schedule",
+        [
+            (16, 5, [("cyclic_shift", (1, 5))]),
+            ((13, 13), 6, [("rotation", (1, 6))]),
+            ((9, 9), 6, [("rotation", (1, 3)), ("cyclic_shift", (4, 6))]),
+        ],
+    )
+    def test_equals_per_frame_reference_bitwise(self, geometry, n_frames, schedule):
+        videos = gen_videos(7, geometry, n_frames, schedule, density=0.2, seed=9)
+        clips, descriptors = reference_videos(7, geometry, n_frames, schedule, 0.2, 9)
+        assert_bitwise_equal(videos.clips, clips)
+        assert videos.descriptors == descriptors
+
+    def test_degenerate_frame_drops_the_clip_and_keeps_the_draw_order(self, monkeypatch):
+        schedule = [("cyclic_shift", (1, 4))]
+        plain = gen_videos(5, (8, 8), 4, schedule, density=0.2, seed=2)
+        calls_per_clip = 3
+
+        def patched_warp():
+            # the fifth warp, clip 1's second, comes back constant
+            calls = []
+
+            def warp(raw, label, geometry):
+                calls.append(None)
+                if len(calls) == calls_per_clip + 2:
+                    return np.full_like(raw, 0.5)
+                return apply_label(raw, label, geometry)
+
+            return warp
+
+        apply_label = dataset._apply_label
+        monkeypatch.setattr(dataset, "_apply_label", patched_warp())
+        videos = gen_videos(4, (8, 8), 4, schedule, density=0.2, seed=2)
+        monkeypatch.setattr(dataset, "_apply_label", patched_warp())
+        clips, descriptors = reference_videos(4, (8, 8), 4, schedule, 0.2, 2)
+        assert_bitwise_equal(videos.clips, clips)
+        assert videos.descriptors == descriptors
+        kept = [0, 2, 3, 4]
+        assert_bitwise_equal(videos.clips, plain.clips[kept])
+        assert videos.descriptors == [plain.descriptors[i] for i in kept]
+
+
+def reference_videos(n_clips, geometry, n_frames, schedule, density, seed):
+    """``gen_videos``' clip loop as it was, normalizing frame by frame and
+    leaving a clip at its first degenerate frame."""
+    rng = np.random.default_rng(seed)
+    clips, descriptors = [], []
+    while len(clips) < n_clips:
+        raw, _ = dataset._random_dots(rng, geometry, density)
+        params = [
+            (family, dataset._draw_segment_parameter(rng, geometry, family), frames)
+            for family, frames in schedule
+        ]
+        frames_out = []
+        current = np.asarray(raw, dtype=np.float64)
+        for family, parameter, (first, last) in params:
+            for t in range(first, last + 1):
+                if t > 1:
+                    current = dataset._apply_label(
+                        current, dataset.WarpLabel(family, parameter), geometry
+                    )
+                patch = contrast_normalize(current.ravel())
+                if patch.degenerate:
+                    break
+                frames_out.append(patch.values)
+            if len(frames_out) < last:
+                break
+        if len(frames_out) < n_frames:
+            continue
+        clips.append(np.stack(frames_out))
+        descriptors.append(tuple(params))
+    return np.stack(clips), descriptors
 
 
 def reference_segment_distances(points, starts, ends):
@@ -337,6 +476,16 @@ class TestIdx:
         np.testing.assert_array_equal(loaded.labels, [3, 7])
         expected = contrast_normalize(images[0].ravel() / 255.0).values
         np.testing.assert_allclose(loaded.images[0], expected, atol=1e-12)
+
+    def test_images_equal_per_row_contrast_normalize_bitwise(self, tmp_path):
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 256, size=(6, 5, 7), dtype=np.uint8)
+        images[2] = 17  # a blank image comes back all zero
+        image_path, label_path = craft_idx_pair(tmp_path, images, range(6))
+        loaded = load_idx(image_path, label_path)
+        expected, degenerate = reference_normalize_rows(images.reshape(6, 35) / 255.0)
+        assert_bitwise_equal(loaded.images, expected)
+        np.testing.assert_array_equal(degenerate, [False, False, True, False, False, False])
 
     def test_truncated_file_names_expected_length(self, tmp_path):
         image_path = tmp_path / "trunc.idx3"

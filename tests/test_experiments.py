@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpcode.detector import batch_pooled_responses
 from warpcode.errors import ConfigError, LockError
 from warpcode.experiments import (
     ExperimentConfig,
@@ -25,7 +26,9 @@ from warpcode.experiments import (
     shift_readout_pool,
 )
 from warpcode.model import GatedModel
+from warpcode.patches import contrast_normalize
 from warpcode.storage import read_csv
+from warpcode.warp_algebra import wrap_angle
 
 
 TINY_FIG2 = {
@@ -145,6 +148,31 @@ class TestOracle:
         # every column pools one detector per block that has the angle
         assert pool.sum() > 0
 
+    @pytest.mark.parametrize("dim", range(2, 34))
+    def test_shift_readout_pool_equals_scalar_loop(self, dim):
+        bank = build_shift_bank(dim)
+        expected = np.zeros((bank.n_detectors, dim))
+        for det in range(bank.n_detectors):
+            block = bank.blocks[bank.detector_block[det]]
+            for s in range(dim):
+                target = wrap_angle(s * block.angle)
+                if abs(wrap_angle(bank.detector_angle[det] - target)) <= 1e-9:
+                    expected[det, s] = 1.0
+        np.testing.assert_array_equal(shift_readout_pool(bank, dim), expected)
+
+    def test_matches_row_by_row_reference(self, tmp_path):
+        dim, snr, n_trials, floor = 8, 5.0, 200, 0.3
+        cfg = ExperimentConfig.build(
+            "oracle",
+            tmp_path / "r",
+            seed=6,
+            overrides={"dim": dim, "snr": snr, "n_trials": n_trials, "aperture_floor": floor},
+        )
+        report = run_detector_oracle(cfg)
+        per_shift, breakdown = reference_oracle(dim, snr, n_trials, floor, seed=6)
+        np.testing.assert_array_equal(report.per_shift_accuracy, per_shift)
+        assert report.aperture_breakdown == breakdown
+
     def test_manifest_lists_checksums(self, tmp_path):
         cfg = ExperimentConfig.build(
             "oracle", tmp_path / "m", seed=1, overrides={"dim": 8, "n_trials": 10}
@@ -166,6 +194,35 @@ class TestOracle:
             run_detector_oracle(cfg)
             outputs.append((tmp_path / name / "oracle.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def reference_oracle(dim, snr, n_trials, floor, seed):
+    """The oracle's trials as they were: one draw and one
+    ``contrast_normalize`` call per signal row and per noisy row."""
+    bank = build_shift_bank(dim)
+    rng = np.random.default_rng(seed)
+    signals = np.stack(
+        [contrast_normalize(rng.standard_normal(dim)).values for _ in range(n_trials)]
+    )
+    live = np.zeros(n_trials, dtype=np.int64)
+    for block in bank.blocks:
+        if block.is_two_dimensional:
+            norms = np.hypot(signals @ block.basis_real, signals @ block.basis_imag)
+            live += norms >= floor
+    noise_rngs = rng.spawn(dim)
+    hits = np.zeros((dim, n_trials), dtype=bool)
+    for s in range(dim):
+        ys = np.roll(signals, s, axis=1)
+        noise = noise_rngs[s].standard_normal(ys.shape)
+        noise *= np.sqrt((ys**2).sum(axis=1, keepdims=True) / (snr * dim))
+        ys = np.stack([contrast_normalize(row).values for row in ys + noise])
+        _, pooled = batch_pooled_responses(bank, signals, ys)
+        hits[s] = np.argmax(pooled, axis=1) == s
+    breakdown = []
+    for count in np.unique(live):
+        trials = dim * int((live == count).sum())
+        breakdown.append((int(count), trials, float(hits[:, live == count].sum() / trials)))
+    return hits.sum(axis=1) / n_trials, breakdown
 
 
 class TestFig2Smoke:
