@@ -8,7 +8,7 @@ rotation in closed form and reports the explained fraction.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,18 +83,20 @@ def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None) -> float:
 
 
 def _phase_residuals(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Least-squares residuals of the per-frame rotation model, one per theta.
+    """Least-squares residuals (k, t) of the per-frame rotation model for a
+    stack (k, n_frames, m) of sequences at t angles ``thetas`` (k, t) each.
 
     Model: frames[s] = cos(theta s) c - sin(theta s) d, with the base pair
     (c, d) solved exactly for each theta; where the sine design degenerates
-    (theta near 0 or pi) d is pinned to zero.
+    (theta near 0 or pi) d is pinned to zero.  Sums run along trailing axes
+    only, so a member's residuals do not depend on the rest of the stack.
     """
-    phases = np.multiply.outer(thetas, np.arange(frames.shape[0]))
+    phases = thetas[:, :, None] * np.arange(frames.shape[1])
     cos_s = np.cos(phases)
     sin_s = np.sin(phases)
-    scc = np.einsum("ts,ts->t", cos_s, cos_s)[:, None]
-    sss = np.einsum("ts,ts->t", sin_s, sin_s)[:, None]
-    scs = np.einsum("ts,ts->t", cos_s, sin_s)[:, None]
+    scc = (cos_s * cos_s).sum(axis=2)[..., None]
+    sss = (sin_s * sin_s).sum(axis=2)[..., None]
+    scs = (cos_s * sin_s).sum(axis=2)[..., None]
     rhs_c = cos_s @ frames
     rhs_d = -(sin_s @ frames)
     det = scc * sss - scs * scs
@@ -102,77 +104,67 @@ def _phase_residuals(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     det = np.where(pinned, 1.0, det)
     c = np.where(pinned, rhs_c / scc, (sss * rhs_c + scs * rhs_d) / det)
     d = np.where(pinned, 0.0, (scc * rhs_d + scs * rhs_c) / det)
-    modeled = cos_s[:, :, None] * c[:, None, :] - sin_s[:, :, None] * d[:, None, :]
-    return np.sum((frames - modeled) ** 2, axis=(1, 2))
+    modeled = cos_s[..., None] * c[:, :, None] - sin_s[..., None] * d[:, :, None]
+    return np.sum((frames[:, None] - modeled) ** 2, axis=(2, 3))
 
 
-def _phase_residual(frames: np.ndarray, theta: float) -> float:
-    """``_phase_residuals`` at one angle, with the 2x2 solve in scalars.
+def eigenmovie_consistency(filter_frames):
+    """Fit of per-frame filter sequences to a constant-speed rotation model.
 
-    The golden-section refinement makes one call per step, and at these
-    sizes a call costs its number of array operations, which the batched
-    form more than doubles.
-    """
-    phases = theta * np.arange(frames.shape[0])
-    design = np.array((np.cos(phases), np.sin(phases)))
-    (scc, scs), (_, sss) = design @ design.T
-    det = scc * sss - scs * scs
-    if det < 1e-12 or sss < 1e-12:
-        inverse = ((1.0 / scc, 0.0), (0.0, 0.0))
-    else:
-        inverse = ((sss / det, -scs / det), (-scs / det, scc / det))
-    residual = frames - design.T @ (np.array(inverse) @ (design @ frames))
-    return float(np.vdot(residual, residual))
-
-
-def eigenmovie_consistency(filter_frames) -> Tuple[float, float]:
-    """Fit of a per-frame filter sequence to a constant-speed rotation model.
-
-    ``filter_frames`` is (n_frames, dim): one factor's filter sliced per
-    frame.  Fits a single base pair rotating by ``theta`` per frame; theta
-    is found by a dense grid scan with an exact base-pair solve per
-    candidate, then refined by golden-section search.  The rotation
+    ``filter_frames`` is (n_frames, dim), one factor's filter sliced per
+    frame, or a stack (k, n_frames, dim) of such sequences.  Fits a single
+    base pair rotating by ``theta`` per frame: a dense grid scan with an
+    exact base-pair solve per candidate, one sequence at a time, then
+    golden-section steps that run all sequences in lock-step.  The rotation
     direction is not identifiable from the fit (flipping the pair's
     imaginary part flips it), so theta is reported in [0, pi].
 
     The fit runs on a lower triangle ``L`` of at most n_frames columns
     rather than on the frames: with ``frames = L Q^T`` from a QR
     factorization of ``frames^T``, every residual of the model equals the
-    one on ``L``, since the columns of ``Q`` are orthonormal.  Residuals
-    stay sums of squares, and all grid angles are solved in one batch.
+    one on ``L``, since the columns of ``Q`` are orthonormal.
 
-    Returns ``(theta_hat, consistency_r2)``.
+    Returns ``(theta_hat, consistency_r2)``: floats for one sequence, and
+    for a stack length-k arrays, each member's as if fitted alone.
     """
-    frames = np.asarray(filter_frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise DimensionError("filter sequence must be (n_frames, dim)")
-    if frames.shape[0] < 3:
+    frames = np.ascontiguousarray(filter_frames, dtype=np.float64)
+    single = frames.ndim == 2
+    frames = frames[None] if single else frames
+    if frames.ndim != 3:
+        raise DimensionError("filter sequence must be (n_frames, dim) or a stack")
+    if frames.shape[1] < 3:
         raise DimensionError("consistency fit needs at least 3 frames")
-    total = float(np.sum(frames * frames))
-    if total < 1e-24:
+    total = np.sum(frames * frames, axis=(1, 2))
+    if (total < 1e-24).any():
         raise DataError("all-zero filter sequence")
-    triangle = np.linalg.qr(frames.T, mode="r").T
+    triangle = np.linalg.qr(frames.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
     grid = np.linspace(0.0, np.pi, 361)
-    best = int(np.argmin(_phase_residuals(triangle, grid)))
-    low = grid[max(best - 1, 0)]
-    high = grid[min(best + 1, len(grid) - 1)]
+    # one sequence at a time: a whole stack's (k, 361, n, m) temporaries
+    # would dominate a pipeline's peak memory
+    scan = [_phase_residuals(member[None], grid[None])[0] for member in triangle]
+    best = np.argmin(scan, axis=1)
+
+    def residuals(thetas):
+        return _phase_residuals(triangle, thetas[:, None])[:, 0]
+
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, grid.size - 1)]
     golden = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = low, high
-    x1 = b - golden * (b - a)
-    x2 = a + golden * (b - a)
-    f1 = _phase_residual(triangle, x1)
-    f2 = _phase_residual(triangle, x2)
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = residuals(x1), residuals(x2)
     for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - golden * (b - a)
-            f1 = _phase_residual(triangle, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + golden * (b - a)
-            f2 = _phase_residual(triangle, x2)
-    theta = float((a + b) / 2.0)
-    return theta, 1.0 - _phase_residual(triangle, theta) / total
+        # keep [a, x2] where f1 <= f2, else [x1, b]; one new point each
+        left = f1 <= f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - golden * (b - a), a + golden * (b - a))
+        f = residuals(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    theta = (a + b) / 2.0
+    fit = 1.0 - residuals(theta) / total
+    if single:
+        return float(theta[0]), float(fit[0])
+    return theta, fit
 
 
 # ---------------------------------------------------------------------------

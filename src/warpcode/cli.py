@@ -50,6 +50,15 @@ def _config(name, args):
     )
 
 
+def _check_geometry(width, height, dim, source):
+    """ConfigError (exit 2) unless width x height is the source's dim."""
+    if width * height != dim:
+        raise ConfigError(
+            f"width {width} x height {height} does not match the "
+            f"{source}'s dim {dim}; set width and height"
+        )
+
+
 def _cmd_experiment(name, args):
     cfg = _config(name, args)
     runner = {
@@ -134,7 +143,7 @@ def _cmd_train(args):
         xs, ys, p, cfg.seed, pooling=p["pooling"], nonlinearity=p["nonlinearity"]
     )
     save_model(model, out / "checkpoint")
-    write_csv(out / "loss_curve.csv", ["epoch", "loss"], list(enumerate(losses, start=1)))
+    experiments.write_loss_curve(out / "loss_curve.csv", losses)
     print(f"final loss {losses[-1]:.4f}; checkpoint in {out / 'checkpoint'}")
     return 0
 
@@ -151,12 +160,7 @@ def _cmd_analyze(args):
         raise ConfigError("analyze needs --model or --bank")
     width = cfg.params["width"] or math.isqrt(dim)
     geometry = (width, cfg.params["height"] or dim // width)
-    if geometry[0] * geometry[1] != dim:
-        source = "bank" if args.bank else "checkpoint"
-        raise ConfigError(
-            f"width {geometry[0]} x height {geometry[1]} does not match the "
-            f"{source}'s dim {dim}; set width and height"
-        )
+    _check_geometry(*geometry, dim, "bank" if args.bank else "checkpoint")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if args.bank:
@@ -192,11 +196,7 @@ def _cmd_classify(args):
     cfg = _config("classify", args)
     p, out = cfg.params, cfg.out_dir
     model = load_model(Path(args.model))
-    if p["width"] * p["height"] != model.dim_x:
-        raise ConfigError(
-            f"width {p['width']} x height {p['height']} does not match the "
-            f"checkpoint's dim {model.dim_x}; set width and height"
-        )
+    _check_geometry(p["width"], p["height"], model.dim_x, "checkpoint")
     glyphs = gen_rotated_glyphs(
         p["per_class"], (p["width"], p["height"]), seed=cfg.seed
     )

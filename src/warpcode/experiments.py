@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .analysis import (
+    QUADRATURE_CSV_HEADER,
     QuadratureReport,
     eigenmovie_consistency,
     export_filter_grid,
@@ -149,8 +150,8 @@ def _coerce(text: str):
         return float(lowered)
     except ValueError:
         pass
-    if "," in lowered:
-        return tuple(_coerce(part) for part in lowered.split(","))
+    if "," in lowered:  # a list; "100," is the list of one
+        return tuple(_coerce(part) for part in lowered.rstrip(",").split(","))
     return lowered
 
 
@@ -159,8 +160,13 @@ def _is_int(value) -> bool:
 
 
 # Integer options whose least value is not 1: fig3's consistency fit
-# (``eigenmovie_consistency``) needs at least three frames per clip.
-INTEGER_MINIMUMS = {("fig3", "n_frames"): 3}
+# (``eigenmovie_consistency``) needs at least three frames per clip, and the
+# glyph rasterizer (``gen_rotated_glyphs``) at least 16x16 pixels.
+INTEGER_MINIMUMS = {("fig3", "n_frames"): 3} | {
+    (experiment, side): 16
+    for experiment in ("fig4", "gen glyphs", "classify")
+    for side in ("width", "height")
+}
 
 
 def _option_error(key, default, value, least=1) -> Optional[str]:
@@ -218,7 +224,9 @@ class ExperimentConfig:
         """Options of a pipeline or subcommand (a key of
         ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then
         by ``config_file``, then by ``overrides``.  Every value set must
-        pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``."""
+        pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
+        integer set for a list option is a list of one.  Runs that rotate
+        patches by any angle need ``width == height``."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -233,11 +241,24 @@ class ExperimentConfig:
                     f"unknown option {key!r} for {experiment} "
                     f"(known: {sorted(params)})"
                 )
+            if isinstance(default, tuple) and _is_int(value):
+                value = (value,)
             least = INTEGER_MINIMUMS.get((experiment, key), 1)
             expected = _option_error(key, default, value, least)
             if expected:
                 raise ConfigError(f"option {key} must be {expected}, got {value!r}")
             params[key] = value
+        rotates = (
+            experiment == "fig4"
+            or params.get("family") in ("rotation", "mixed")
+            or params.get("variant") == "rotate_then_shift"
+        )
+        # a rotation warp turns a non-square patch by at most pi/4
+        if rotates and params["width"] != params["height"]:
+            raise ConfigError(
+                f"rotations need square patches, got width {params['width']} "
+                f"x height {params['height']}"
+            )
         seed = params.pop("seed")
         return cls(experiment, Path(out_dir), int(seed), params)
 
@@ -267,6 +288,27 @@ def write_manifest(cfg: ExperimentConfig, artifacts: List[Path]) -> Path:
     manifest = cfg.out_dir / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+@contextmanager
+def _outputs(cfg: ExperimentConfig):
+    """A run's hold on ``cfg.out_dir``: the directory is locked, ``out(name)``
+    gives the path of artifact ``name`` and records it, and a normal exit
+    writes the manifest of every recorded artifact."""
+    artifacts = []
+
+    def out(name):
+        artifacts.append(cfg.out_dir / name)
+        return artifacts[-1]
+
+    with output_lock(cfg.out_dir):
+        yield out
+        write_manifest(cfg, artifacts)
+
+
+def write_loss_curve(path, losses):
+    """``loss_curve.csv``: one (epoch, loss) row per epoch, from 1."""
+    write_csv(path, ["epoch", "loss"], list(enumerate(losses, start=1)))
 
 
 def _staged_learning_rates(base_rate, epochs):
@@ -365,7 +407,7 @@ def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
 def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
     p = cfg.params
     geometry = (int(p["width"]), int(p["height"]))
-    with output_lock(cfg.out_dir):
+    with _outputs(cfg) as out:
         data = gen_dot_pairs(
             int(p["n_pairs"]),
             geometry,
@@ -379,35 +421,21 @@ def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
         )
         energy = pair_energies(model, data.xs, data.ys)
 
-        artifacts = []
-        path = cfg.out_dir / "loss_curve.csv"
-        write_csv(path, ["epoch", "loss"], list(enumerate(losses, start=1)))
-        artifacts.append(path)
-        path = cfg.out_dir / "quadrature.csv"
+        write_loss_curve(out("loss_curve.csv"), losses)
         nontrivial = report.nontrivial()
         write_csv(
-            path,
-            [
-                "pair_index",
-                "theta_hat",
-                "fit_r2",
-                "spectral_overlap",
-                "pair_energy",
-                "nontrivial",
-            ],
+            out("quadrature.csv"),
+            QUADRATURE_CSV_HEADER + ["pair_energy", "nontrivial"],
             [
                 row + (energy[i], int(nontrivial[i]))
                 for i, row in enumerate(report.rows())
             ],
         )
-        artifacts.append(path)
         for name, bank in (
             ("filters_input.pgm", model.input_filters),
             ("filters_output.pgm", model.output_filters),
         ):
-            path = cfg.out_dir / name
-            export_filter_grid(bank.T, geometry, path, n_columns=8)
-            artifacts.append(path)
+            export_filter_grid(bank.T, geometry, out(name), n_columns=8)
 
         family_tags = None
         if p["family"] == "mixed":
@@ -419,11 +447,8 @@ def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
                 tag = "rotation" if score >= 0.3 else "translation"
                 family_tags.append(tag)
                 rows.append((k, score, tag))
-            path = cfg.out_dir / "family_tags.csv"
-            write_csv(path, ["pair_index", "rotation_score", "tag"], rows)
-            artifacts.append(path)
-
-        write_manifest(cfg, artifacts)
+            header = ["pair_index", "rotation_score", "tag"]
+            write_csv(out("family_tags.csv"), header, rows)
     return Fig2Report(report, losses, energy, family_tags, model)
 
 
@@ -473,7 +498,7 @@ def run_fig3(cfg: ExperimentConfig) -> Fig3Report:
     n_frames = int(p["n_frames"])
     variant = str(p["variant"])
     schedule = _fig3_schedule(variant, n_frames)
-    with output_lock(cfg.out_dir):
+    with _outputs(cfg) as out:
         videos = gen_videos(
             int(p["n_clips"]),
             geometry,
@@ -489,60 +514,40 @@ def run_fig3(cfg: ExperimentConfig) -> Fig3Report:
 
         responses = rows_data @ model.input_filters
         factor_energy = (responses**2).mean(axis=0)
-        frame_dim = rows_data.shape[1] // n_frames
-        thetas, fits = [], []
-        segments = [] if len(schedule) == 2 else None
-        for f in range(model.n_factors):
-            frames = model.input_filters[:, f].reshape(n_frames, frame_dim)
-            theta, fit = eigenmovie_consistency(frames)
-            thetas.append(theta)
-            fits.append(fit)
-            if segments is not None:
-                split = schedule[0][1][1]
-                first = float(np.sum(frames[:split] ** 2))
-                second = float(np.sum(frames[split:] ** 2))
-                segments.append((first, second))
-        thetas = np.array(thetas)
-        fits = np.array(fits)
-        segment_energy = np.array(segments) if segments is not None else None
+        # factor f's filter sliced per frame is frames[f]
+        frames = model.input_filters.T.reshape(model.n_factors, n_frames, -1)
+        thetas, fits = eigenmovie_consistency(frames)
+        segment_energy = None
+        if len(schedule) == 2:
+            split = schedule[0][1][1]
+            segment_energy = np.array(
+                [(np.sum(f[:split] ** 2), np.sum(f[split:] ** 2)) for f in frames]
+            )
 
-        artifacts = []
-        path = cfg.out_dir / "loss_curve.csv"
-        write_csv(path, ["epoch", "loss"], list(enumerate(losses, start=1)))
-        artifacts.append(path)
-        path = cfg.out_dir / "eigenmovie.csv"
+        write_loss_curve(out("loss_curve.csv"), losses)
         write_csv(
-            path,
+            out("eigenmovie.csv"),
             ["factor_index", "energy", "theta_hat", "consistency_r2"],
             [
                 (f, factor_energy[f], thetas[f], fits[f])
                 for f in range(model.n_factors)
             ],
         )
-        artifacts.append(path)
         if segment_energy is not None:
-            path = cfg.out_dir / "segments.csv"
             write_csv(
-                path,
+                out("segments.csv"),
                 ["factor_index", "energy", "first_energy", "second_energy"],
                 [
                     (f, factor_energy[f], segment_energy[f, 0], segment_energy[f, 1])
                     for f in range(model.n_factors)
                 ],
             )
-            artifacts.append(path)
         # frame grids for the top factors, one row of frames per factor
         order = np.argsort(factor_energy)[::-1][:8]
-        tiles = np.concatenate(
-            [
-                model.input_filters[:, f].reshape(n_frames, frame_dim)
-                for f in order
-            ]
+        tiles = np.concatenate([frames[f] for f in order])
+        export_filter_grid(
+            tiles, geometry, out("eigenmovie_frames.pgm"), n_columns=n_frames
         )
-        path = cfg.out_dir / "eigenmovie_frames.pgm"
-        export_filter_grid(tiles, geometry, path, n_columns=n_frames)
-        artifacts.append(path)
-        write_manifest(cfg, artifacts)
     return Fig3Report(factor_energy, thetas, fits, segment_energy, losses, model)
 
 
@@ -597,7 +602,7 @@ def glyph_accuracies(train, test, k=1) -> Dict[str, float]:
 def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
     p = cfg.params
     geometry = (int(p["width"]), int(p["height"]))
-    with output_lock(cfg.out_dir):
+    with _outputs(cfg) as out:
         dots = gen_dot_pairs(
             int(p["n_pairs"]),
             geometry,
@@ -612,12 +617,16 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
         test_x, test_y = glyphs.subset("test")
         sizes = [int(s) for s in p["train_sizes"]]
         subsets = [_balanced_subset(train_y, size) for size in sizes]
+        k = int(p["knn_k"])
+        if k > min(sizes):
+            raise ConfigError(
+                f"knn_k {k} exceeds the smallest train size {min(sizes)}"
+            )
 
         model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
         pooled_train = image_codes(model, train_x)
         test = (image_codes(model, test_x), test_x, test_y)
 
-        k = int(p["knn_k"])
         accuracies: Dict[str, Dict[int, float]] = {}
         rows = []
         for size, subset in zip(sizes, subsets):
@@ -633,9 +642,7 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
             for method, accuracy in per_size.items():
                 accuracies.setdefault(method, {})[size] = accuracy
                 rows.append((size, method, accuracy))
-        path = cfg.out_dir / "accuracy.csv"
-        write_csv(path, ["train_size", "method", "accuracy"], rows)
-        write_manifest(cfg, [path])
+        write_csv(out("accuracy.csv"), ["train_size", "method", "accuracy"], rows)
     return Fig4Report(accuracies, model)
 
 
@@ -655,21 +662,14 @@ def shift_readout_pool(bank: DetectorBank, n_shifts: int) -> np.ndarray:
     """Across-subspace pooling whose output s sums every detector whose
     preferred angle equals shift s's rotation in its block."""
     block_angle = np.array([bank.blocks[b].angle for b in bank.detector_block])
-    expected = _wrap_angles(np.outer(block_angle, np.arange(n_shifts)))
-    offset = _wrap_angles(bank.detector_angle[:, None] - expected)
+    expected = wrap_angle(np.outer(block_angle, np.arange(n_shifts)))
+    offset = wrap_angle(bank.detector_angle[:, None] - expected)
     return (np.abs(offset) <= 1e-9).astype(np.float64)
-
-
-def _wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """``wrap_angle`` elementwise: into (-pi, pi], with -pi folded to pi."""
-    wrapped = np.arctan2(np.sin(angles), np.cos(angles))
-    wrapped[wrapped == -np.pi] = np.pi
-    return wrapped
 
 
 def build_shift_bank(dim: int) -> DetectorBank:
     decomposition = decompose(make_cyclic_shift(dim, 1))
-    grid = [wrap_angle(2.0 * np.pi * k / dim) for k in range(dim)]
+    grid = wrap_angle(2.0 * np.pi * np.arange(dim) / dim)
     bank = build_bank_from_warp_family([decomposition], grid)
     return bank.with_across_pool(shift_readout_pool(bank, dim))
 
@@ -680,7 +680,7 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
     n_trials = int(p["n_trials"])
     snr = float(p["snr"])
     floor = float(p["aperture_floor"])
-    with output_lock(cfg.out_dir):
+    with _outputs(cfg) as out:
         bank = build_shift_bank(dim)
         rng = np.random.default_rng(cfg.seed)
         # one (n_trials, dim) draw is the stream of n_trials draws of dim
@@ -718,16 +718,10 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
             (int(count), int(n), float(h / n))
             for count, n, h in zip(live, trials, live_hits)
         ]
-        artifacts = []
-        path = cfg.out_dir / "oracle.csv"
         write_csv(
-            path,
+            out("oracle.csv"),
             ["shift", "trials", "accuracy"],
             [(s, n_trials, per_shift[s]) for s in range(dim)],
         )
-        artifacts.append(path)
-        path = cfg.out_dir / "aperture.csv"
-        write_csv(path, ["live_subspaces", "trials", "accuracy"], breakdown)
-        artifacts.append(path)
-        write_manifest(cfg, artifacts)
+        write_csv(out("aperture.csv"), ["live_subspaces", "trials", "accuracy"], breakdown)
     return OracleReport(accuracy, per_shift, breakdown, bank)

@@ -26,7 +26,7 @@ from .errors import (
     OrthogonalityError,
     SingularWarpError,
 )
-from .patches import ImagePatch
+from .patches import ImagePatch, _is_unit
 
 # Orthogonality gate for the exact decomposition path.
 EXACT_ORTHOGONALITY_TOL = 1e-6
@@ -38,12 +38,12 @@ ALGEBRAIC_TOL = 1e-8
 APPROX_RESIDUAL_LIMIT = 0.2
 
 
-def wrap_angle(angle: float) -> float:
-    """Map an angle to the interval (-pi, pi]."""
-    wrapped = float(np.arctan2(np.sin(angle), np.cos(angle)))
-    if wrapped == -np.pi:
-        wrapped = np.pi
-    return wrapped
+def wrap_angle(angle):
+    """Map an angle to the interval (-pi, pi], elementwise on an array; a
+    scalar comes back as a float."""
+    wrapped = np.arctan2(np.sin(angle), np.cos(angle))
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +210,7 @@ def make_rotation_warp(width: int, height: int, angle: float) -> WarpMatrix:
     if width < 3 or height < 3:
         raise DimensionError("rotation warp needs width, height >= 3")
     plan = _RotationPlan(width, height, angle)
-    d = width * height
-    if plan.residual_angle == 0.0:
-        # Pure quarter-turn: exact permutation, assembled directly.
-        idx = np.rot90(np.arange(d).reshape(height, width), plan.quarter_turns)
-        entries = np.zeros((d, d))
-        entries[np.arange(d), idx.ravel()] = 1.0
-        return WarpMatrix(entries, 0.0)
-    columns = plan.apply_matrix(np.eye(d))
-    return WarpMatrix.from_entries(columns)
+    return WarpMatrix.from_entries(plan.apply_matrix(np.eye(width * height)))
 
 
 def apply_warp(warp: WarpMatrix, patch: ImagePatch) -> ImagePatch:
@@ -232,8 +224,7 @@ def apply_warp(warp: WarpMatrix, patch: ImagePatch) -> ImagePatch:
     keeps_normalization = (
         patch.normalized
         and warp.orthogonality_residual <= 1e-12
-        and abs(values.mean()) <= 1e-10
-        and abs(np.linalg.norm(values) - 1.0) <= 1e-10
+        and _is_unit(values.mean(), np.linalg.norm(values))
     )
     return ImagePatch(values, normalized=bool(keeps_normalization))
 

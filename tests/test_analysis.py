@@ -156,6 +156,46 @@ class TestEigenmovieConsistency:
         assert_matches_reference(frames)
 
 
+class TestStackedEigenmovieConsistency:
+    def stack(self):
+        rng = np.random.default_rng(21)
+        members = [rng.standard_normal((10, 169)) for _ in range(3)]
+        for theta in (0.83, 1e-5, np.pi - 1e-5):
+            base = random_pair(rng, dim=169)
+            steps = theta * np.arange(10)
+            frames = np.outer(np.cos(steps), base[:, 0])
+            frames -= np.outer(np.sin(steps), base[:, 1])
+            members.append(frames + 1e-3 * rng.standard_normal(frames.shape))
+        return np.stack(members)
+
+    def test_each_member_matches_the_scalar_reference(self):
+        stack = self.stack()
+        thetas, fits = eigenmovie_consistency(stack)
+        assert thetas.shape == fits.shape == (stack.shape[0],)
+        for frames, theta, r2 in zip(stack, thetas, fits):
+            expected_theta, expected_r2 = reference_eigenmovie_consistency(frames)
+            assert abs(theta - expected_theta) <= 1e-6
+            assert abs(r2 - expected_r2) <= 1e-12
+
+    def test_single_sequence_is_its_row_of_a_stack_bitwise(self):
+        stack = self.stack()
+        thetas, fits = eigenmovie_consistency(stack)
+        for k, frames in enumerate(stack):
+            theta, r2 = eigenmovie_consistency(frames)
+            assert type(theta) is float and type(r2) is float
+            assert theta == thetas[k] and r2 == fits[k]
+
+    def test_one_zero_member_rejected(self):
+        stack = self.stack()
+        stack[2] = 0.0
+        with pytest.raises(DataError):
+            eigenmovie_consistency(stack)
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(DimensionError):
+            eigenmovie_consistency(np.ones((2, 3, 4, 5)))
+
+
 def reference_eigenmovie_consistency(frames):
     """The fit as a scalar loop over angles on the full frames: one base-pair
     solve per angle, a 361-point grid, then 60 golden-section steps."""

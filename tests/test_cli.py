@@ -41,7 +41,7 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
 @pytest.mark.parametrize(
     "command, options",
     [
-        ("fig4", ["--set", "train_sizes=100"]),
+        ("fig4", ["--set", "train_sizes=0"]),
         ("fig2", ["--set", "width=abc"]),
         ("oracle", ["--set", "dim=abc"]),
         ("fig2", TINY_FIG2 + ["--set", "n_factors=7"]),
@@ -69,6 +69,21 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ("analyze --model missing", ["--set", "bogus=1"]),
         ("classify --model missing", ["--set", "bogus=1"]),
         ("fig3", ["--set", "n_frames=2"]),
+        # rotations beyond pi/4 need square patches
+        ("fig2", ["--set", "width=13", "--set", "height=14"]),
+        ("gen pairs", ["--set", "family=mixed", "--set", "width=12"] + ["--set", "height=13"]),
+        ("fig3", ["--set", "variant=rotate_then_shift"] + ["--set", "width=13", "--set", "height=14"]),
+        ("fig4", ["--set", "width=16", "--set", "height=17"]),
+        # the glyph rasterizer needs at least 16x16
+        ("gen glyphs", ["--set", "width=13"]),
+        ("fig4", ["--set", "width=13", "--set", "height=13"]),
+        ("classify --model missing", ["--set", "width=13", "--set", "height=13"]),
+        # k-NN needs knn_k <= the smallest train size; checked before training
+        (
+            "fig4",
+            ["--set", "n_pairs=20", "--set", "glyphs_per_class=5"]
+            + ["--set", "train_sizes=10,20", "--set", "knn_k=15"],
+        ),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
@@ -130,6 +145,22 @@ def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert "500" in err and "31" in err
     assert err.count("\n") == 1
+
+
+def test_fig4_runs_a_single_train_size(tmp_path):
+    settings = [
+        "n_pairs=20",
+        "n_factors=4",
+        "n_mappings=2",
+        "epochs=1",
+        "glyphs_per_class=5",
+        "train_sizes=20",
+    ]
+    options = [arg for setting in settings for arg in ("--set", setting)]
+    assert main(["fig4", "--out", str(tmp_path / "o")] + options) == 0
+    _, rows = read_csv(tmp_path / "o" / "accuracy.csv")
+    assert len(rows) == 5 and {row[0] for row in rows} == {"20"}
+    assert "train_sizes=(20,)" in (tmp_path / "o" / "manifest.txt").read_text()
 
 
 def test_locked_directory_exits_2(tmp_path):

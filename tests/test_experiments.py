@@ -80,6 +80,28 @@ class TestConfig:
         cfg = ExperimentConfig.build("oracle", tmp_path, overrides={"snr": 10})
         assert cfg.params["snr"] == 10 and isinstance(cfg.params["snr"], int)
 
+    def test_single_train_size_is_a_list_of_one(self, tmp_path):
+        cfg = ExperimentConfig.build("fig4", tmp_path, overrides={"train_sizes": 100})
+        assert cfg.params["train_sizes"] == (100,)
+        config = tmp_path / "run.cfg"
+        for line in ("train_sizes=100\n", "train_sizes=100,\n"):
+            config.write_text(line)
+            cfg = ExperimentConfig.build("fig4", tmp_path, config_file=config)
+            assert cfg.params["train_sizes"] == (100,)
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match="train_sizes"):
+                ExperimentConfig.build("fig4", tmp_path, overrides={"train_sizes": bad})
+
+    def test_shifts_allow_non_square_patches(self, tmp_path):
+        shape = {"width": 12, "height": 13}
+        for experiment, extra in (
+            ("fig2", {"family": "cyclic_shift"}),
+            ("gen pairs", {"family": "cyclic_shift"}),
+            ("fig3", {"variant": "shift"}),
+            ("gen videos", {}),
+        ):
+            ExperimentConfig.build(experiment, tmp_path, overrides={**shape, **extra})
+
 
 class TestLock:
     def test_second_locker_rejected(self, tmp_path):

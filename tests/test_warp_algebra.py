@@ -25,6 +25,23 @@ from warpcode.warp_algebra import (
 )
 
 
+class TestWrapAngle:
+    def test_array_equals_the_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 2 * np.pi]
+        angles = np.concatenate([special, rng.uniform(-20.0, 20.0, size=200)])
+        wrapped = wrap_angle(angles)
+        want = np.array([wrap_angle(float(a)) for a in angles])
+        assert np.array_equal(wrapped.view(np.uint64), want.view(np.uint64))
+        assert wrapped[3] == np.pi
+        grid = np.outer(np.arange(4.0), angles[:5])
+        assert wrap_angle(grid).shape == grid.shape
+
+    def test_scalar_returns_a_float(self):
+        assert type(wrap_angle(-np.pi)) is float and wrap_angle(-np.pi) == np.pi
+        assert type(wrap_angle(np.float64(7.0))) is float
+
+
 def random_orthogonal_circulant(rng, n):
     """Orthogonal circulant from a random convolution kernel (polar factor)."""
     while True:
@@ -163,6 +180,17 @@ class TestRotationWarp:
     def test_non_square_small_angle_allowed(self):
         warp = make_rotation_warp(8, 12, 0.2)
         assert warp.orthogonality_residual < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 8, 13, 16])
+    @pytest.mark.parametrize("turns", [-2, -1, 0, 1, 2])
+    def test_quarter_turns_are_the_rot90_permutation(self, n, turns):
+        warp = make_rotation_warp(n, n, turns * np.pi / 2)
+        # the permutation a quarter turn was once assembled as, directly
+        idx = np.rot90(np.arange(n * n).reshape(n, n), turns)
+        want = np.zeros((n * n, n * n))
+        want[np.arange(n * n), idx.ravel()] = 1.0
+        assert np.array_equal(warp.entries, want)
+        assert warp.orthogonality_residual == 0.0
 
 
 class TestDecompose:
