@@ -3,6 +3,14 @@
 Multinomial logistic regression (full-batch gradient descent with an L2
 penalty on the weights, intercept unpenalized), brute-force k-nearest
 neighbors with deterministic tie-breaking, and PCA feature projection.
+
+The logistic gradient works class-major: logits, probabilities and their
+residual are ``(classes, n)``, so the softmax reductions run across rows
+and the weight gradient is one ``delta @ features`` product.  k-NN takes
+``KNN_BLOCK`` queries at a time: one stacked gemv gives their distances,
+bit for bit those of a per-query ``train @ query``, and array operations
+choose their neighbors and count the votes, so no temporary is larger than
+``KNN_BLOCK`` x training rows.
 """
 
 from dataclasses import dataclass
@@ -11,11 +19,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+KNN_BLOCK = 64  # k-NN queries whose distances are held at once
 
 
 def _require_finite(name, values):
@@ -24,11 +28,16 @@ def _require_finite(name, values):
 
 
 def _multinomial_grad(weights, intercept, features, one_hot, l2):
-    """Class probabilities and the (weight, intercept) gradient of the loss."""
-    probabilities = softmax(features @ weights + intercept)
-    delta = (probabilities - one_hot) / features.shape[0]
-    grad_w = features.T @ delta + l2 * weights
-    grad_b = delta.sum(axis=0)
+    """Class probabilities, shaped ``(classes, n)``, and the (weight,
+    intercept) gradient of the loss."""
+    logits = weights.T @ features.T
+    logits += intercept[:, None]
+    logits -= np.maximum.reduce(logits, axis=0)
+    probabilities = np.exp(logits, out=logits)
+    probabilities /= np.add.reduce(probabilities, axis=0)
+    delta = (probabilities - one_hot.T) / features.shape[0]
+    grad_w = (delta @ features).T + l2 * weights
+    grad_b = np.add.reduce(delta, axis=1)
     return probabilities, grad_w, grad_b
 
 
@@ -41,7 +50,7 @@ def multinomial_loss_and_grad(weights, intercept, features, one_hot, l2):
         weights, intercept, features, one_hot, l2
     )
     loss = -np.log(
-        np.maximum((probabilities * one_hot).sum(axis=1), 1e-300)
+        np.maximum((probabilities * one_hot.T).sum(axis=0), 1e-300)
     ).mean() + 0.5 * l2 * float(np.sum(weights * weights))
     return float(loss), grad_w, grad_b
 
@@ -118,11 +127,53 @@ def fit_logistic_regression(
     return LogisticModel(weights, intercept, mean, scale, classes)
 
 
+def _nearest(distances, k):
+    """The first ``k`` columns of a stable argsort of each row (by distance,
+    equal distances by column), without sorting whole rows: a partition
+    finds the k-th distance, all columns below it are taken, and the
+    lowest-index columns equal to it fill up to ``k``."""
+    kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
+    below = distances < kth
+    at = distances == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    at &= np.cumsum(at, axis=1, dtype=np.int32) <= room
+    index = np.nonzero(below | at)[1].reshape(-1, k)
+    near = np.take_along_axis(distances, index, axis=1)
+    return np.take_along_axis(index, np.argsort(near, axis=1, kind="stable"), axis=1)
+
+
+def _vote(neighbor_class, neighbor_dist, n_classes):
+    """Majority class index of each row of ``(queries, k)`` neighbor class
+    indices; ties go to the smallest mean neighbor distance, then the lowest
+    class.  Tied classes of one row have the same number m of neighbors, and
+    their m distances, in neighbor order, are averaged as one row of a
+    ``(groups, m)`` array: the same pairwise sum ``.mean()`` takes of them
+    alone."""
+    rows = np.arange(neighbor_class.shape[0])
+    counts = np.zeros((rows.size, n_classes), dtype=np.intp)
+    np.add.at(counts, (rows[:, None], neighbor_class), 1)
+    top = counts.max(axis=1)
+    tied = counts == top[:, None]
+    contested = tied.sum(axis=1) > 1
+    mean = np.where(tied, 0.0, np.inf)
+    for m in np.unique(top[contested]):
+        row, cls = np.nonzero(tied & (contested & (top == m))[:, None])
+        members = np.nonzero(neighbor_class[row] == cls[:, None])[1].reshape(-1, m)
+        mean[row, cls] = neighbor_dist[row[:, None], members].mean(axis=1)
+    return np.argmax(mean == mean.min(axis=1, keepdims=True), axis=1)
+
+
 def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndarray:
     """Euclidean k-NN, majority vote.
 
     Ties break toward the smallest mean distance among tied labels, then the
-    lowest label.
+    lowest label.  A query's squared distances are ``|t|^2 - 2 t.q + |q|^2``
+    over training rows ``t``.  They are computed for ``KNN_BLOCK`` queries at
+    a time: ``np.matmul(train[None], block[:, :, None])`` is one gemv per
+    query, equal bit for bit to that query's ``train @ query``, and ``|q|^2``
+    is one dot per query, as ``query @ query`` is.  Neighbors are the first
+    ``k`` of a stable sort of the distances (equal distances in training
+    order), found without sorting whole rows.
     """
     train_features = np.asarray(train_features, dtype=np.float64)
     test_features = np.asarray(test_features, dtype=np.float64)
@@ -133,22 +184,23 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
         raise DataError(f"k={k} outside 1..{train_features.shape[0]}")
     _require_finite("k-NN training features", train_features)
     _require_finite("k-NN query features", test_features)
+    classes, train_class = np.unique(train_labels, return_inverse=True)
     train_sq = (train_features**2).sum(axis=1)
     predictions = np.empty(test_features.shape[0], dtype=train_labels.dtype)
-    for i, point in enumerate(test_features):
-        distances = train_sq - 2.0 * (train_features @ point) + point @ point
-        neighbor_idx = np.argsort(distances, kind="stable")[:k]
-        neighbor_labels = train_labels[neighbor_idx]
-        neighbor_dist = distances[neighbor_idx]
-        candidates = np.unique(neighbor_labels)
-        counts = np.array([(neighbor_labels == c).sum() for c in candidates])
-        best = candidates[counts == counts.max()]
-        if best.size > 1:
-            mean_dist = np.array(
-                [neighbor_dist[neighbor_labels == c].mean() for c in best]
-            )
-            best = best[mean_dist == mean_dist.min()]
-        predictions[i] = best.min()
+    for start in range(0, test_features.shape[0], KNN_BLOCK):
+        block = test_features[start : start + KNN_BLOCK]
+        # train_sq - 2 * products + query_sq, in the products' own buffer
+        distances = np.matmul(train_features[None], block[:, :, None])[:, :, 0]
+        distances *= 2.0
+        np.subtract(train_sq, distances, out=distances)
+        distances += np.matmul(block[:, None, :], block[:, :, None])[:, :, 0]
+        neighbors = _nearest(distances, k)
+        winner = _vote(
+            train_class[neighbors],
+            np.take_along_axis(distances, neighbors, axis=1),
+            classes.size,
+        )
+        predictions[start : start + KNN_BLOCK] = classes[winner]
     return predictions
 
 

@@ -6,7 +6,8 @@ benchmark on a checkpoint), and the pipelines ``fig2``, ``fig3``, ``fig4``,
 ``oracle``.  Every subcommand's options come from ``--config`` key=value
 files overridden by ``--set key=value`` flags (flags win), checked by
 ``experiments.ExperimentConfig.build`` against the subcommand's table.
-Exit codes: 0 success, 2 configuration error, 3 training divergence.
+Exit codes: 0 success, 2 configuration error (a missing input path too), 3
+training divergence.
 """
 
 import argparse
@@ -269,6 +270,12 @@ def main(argv=None) -> int:
         }[args.command](args)
     except (ConfigError, LockError, ModelConfigError) as error:
         print(f"configuration error: {error}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as error:
+        # an input named by --data, --model, --bank or --config is missing,
+        # or a file where a directory belongs (or the other way round)
+        message = f"{error.strerror}: {error.filename}"
+        print(f"configuration error: {message}", file=sys.stderr)
         return 2
     except DivergenceError as error:
         print(f"divergence: {error}", file=sys.stderr)

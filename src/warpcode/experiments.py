@@ -27,7 +27,13 @@ from .analysis import (
     score_filter_bank_pairs,
 )
 from .classifiers import fit_logistic_regression, fit_pca, knn_accuracy
-from .dataset import PAIR_FAMILIES, gen_dot_pairs, gen_rotated_glyphs, gen_videos
+from .dataset import (
+    GLYPH_STROKES,
+    PAIR_FAMILIES,
+    gen_dot_pairs,
+    gen_rotated_glyphs,
+    gen_videos,
+)
 from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
 from .errors import ConfigError, LockError
 from .model import (
@@ -562,16 +568,16 @@ class Fig4Report:
 
 
 def _balanced_subset(labels, size):
-    """Indices of ``size`` glyphs: the first ``size // 10`` of every class,
-    topped up in index order with glyphs not yet chosen."""
+    """Indices of ``size`` glyphs: the first ``size // classes`` of every
+    glyph class, topped up in index order with glyphs not yet chosen."""
     if size > labels.size:
         raise ConfigError(
             f"train size {size} exceeds the {labels.size} training glyphs; "
             f"raise glyphs_per_class or lower train_sizes"
         )
-    per_class = size // 10
+    per_class = size // len(GLYPH_STROKES)
     chosen = []
-    for digit in range(10):
+    for digit in range(len(GLYPH_STROKES)):
         candidates = np.flatnonzero(labels == digit)
         chosen.extend(candidates[:per_class])
     remaining = size - len(chosen)
@@ -602,6 +608,15 @@ def glyph_accuracies(train, test, k=1) -> Dict[str, float]:
 def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
     p = cfg.params
     geometry = (int(p["width"]), int(p["height"]))
+    sizes = [int(s) for s in p["train_sizes"]]
+    k = int(p["knn_k"])
+    if min(sizes) < len(GLYPH_STROKES):
+        raise ConfigError(
+            f"train size {min(sizes)} is below {len(GLYPH_STROKES)}, "
+            f"the number of glyph classes"
+        )
+    if k > min(sizes):
+        raise ConfigError(f"knn_k {k} exceeds the smallest train size {min(sizes)}")
     with _outputs(cfg) as out:
         dots = gen_dot_pairs(
             int(p["n_pairs"]),
@@ -615,13 +630,7 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
         )
         train_x, train_y = glyphs.subset("train")
         test_x, test_y = glyphs.subset("test")
-        sizes = [int(s) for s in p["train_sizes"]]
         subsets = [_balanced_subset(train_y, size) for size in sizes]
-        k = int(p["knn_k"])
-        if k > min(sizes):
-            raise ConfigError(
-                f"knn_k {k} exceeds the smallest train size {min(sizes)}"
-            )
 
         model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
         pooled_train = image_codes(model, train_x)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from warpcode.classifiers import (
+    KNN_BLOCK,
+    _nearest,
+    _vote,
     classify_knn,
     fit_logistic_regression,
     fit_pca,
@@ -35,6 +38,28 @@ def reference_fit(features, labels, l2=1e-3, learning_rate=1.0, momentum=0.9):
         weights += velocity_w
         intercept += velocity_b
     return weights, intercept
+
+
+def reference_knn(train_features, train_labels, test_features, k):
+    """classify_knn's former per-query body: one gemv, one stable sort and
+    one vote per query."""
+    train_sq = (train_features**2).sum(axis=1)
+    predictions = np.empty(test_features.shape[0], dtype=train_labels.dtype)
+    for i, point in enumerate(test_features):
+        distances = train_sq - 2.0 * (train_features @ point) + point @ point
+        neighbor_idx = np.argsort(distances, kind="stable")[:k]
+        neighbor_labels = train_labels[neighbor_idx]
+        neighbor_dist = distances[neighbor_idx]
+        candidates = np.unique(neighbor_labels)
+        counts = np.array([(neighbor_labels == c).sum() for c in candidates])
+        best = candidates[counts == counts.max()]
+        if best.size > 1:
+            mean_dist = np.array(
+                [neighbor_dist[neighbor_labels == c].mean() for c in best]
+            )
+            best = best[mean_dist == mean_dist.min()]
+        predictions[i] = best.min()
+    return predictions
 
 
 class TestLogisticRegression:
@@ -173,6 +198,99 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             classify_knn(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 15])
+    def test_blocks_equal_the_per_query_reference(self, k):
+        rng = np.random.default_rng(20 + k)
+        # duplicated training rows tie distances; few distinct rows tie votes
+        distinct = rng.standard_normal((12, 6))
+        train = distinct[rng.integers(0, 12, size=90)]
+        labels = np.array([3, 7, 9])[rng.integers(0, 3, size=90)]
+        # part copies of training rows, part noise; not a multiple of a block
+        queries = np.vstack(
+            [
+                train[rng.integers(0, 90, size=70)],
+                rng.standard_normal((2 * KNN_BLOCK + 3, 6)),
+            ]
+        )
+        expected = reference_knn(train, labels, queries, k)
+        np.testing.assert_array_equal(classify_knn(train, labels, queries, k), expected)
+        for count in (1, KNN_BLOCK - 1, KNN_BLOCK + 1):
+            np.testing.assert_array_equal(
+                classify_knn(train, labels, queries[:count], k), expected[:count]
+            )
+
+    def test_rounding_decides_like_the_per_query_products(self):
+        # each training row has a reversed twin under another label, and
+        # every query is a palindrome, so the twins tie in exact arithmetic
+        # and only the rounding of each product picks the nearer one; a
+        # products matrix from one gemm rounds differently
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((200, 32))
+        train = np.vstack([rows, rows[:, ::-1]])
+        labels = rng.integers(0, 5, size=200)
+        labels = np.concatenate([labels, (labels + 1) % 5])
+        half = rng.standard_normal((300, 32))
+        queries = half + half[:, ::-1]
+        np.testing.assert_array_equal(
+            classify_knn(train, labels, queries, 1),
+            reference_knn(train, labels, queries, 1),
+        )
+
+    @pytest.mark.parametrize(
+        "k, label_set", [(15, [4, 2, 8]), (18, [4, 2]), (20, [4, 2])]
+    )
+    def test_mean_distance_tie_break_equals_the_reference(self, k, label_set):
+        # every training point twice, so distances tie, under random labels
+        # so votes tie often; with two labels, k=18 and 20 tie means of 9
+        # and 10 distances, which numpy sums pairwise, not left to right
+        rng = np.random.default_rng(31)
+        train = np.repeat(rng.uniform(0, 1, size=(60, 1)) ** 3, 2, axis=0)
+        labels = rng.choice(label_set, size=120)
+        queries = rng.uniform(0, 1, size=(300, 1))
+        predictions = classify_knn(train, labels, queries, k)
+        np.testing.assert_array_equal(
+            predictions, reference_knn(train, labels, queries, k)
+        )
+        # the fixture must exercise the tie-break: some tied votes are won
+        # by a label other than the lowest tied one
+        train_sq = (train**2).sum(axis=1)
+        decided_by_mean = 0
+        for query, prediction in zip(queries, predictions):
+            distances = train_sq - 2.0 * (train @ query) + query @ query
+            voters = labels[np.argsort(distances, kind="stable")[:k]]
+            values, counts = np.unique(voters, return_counts=True)
+            tied = values[counts == counts.max()]
+            decided_by_mean += tied.size > 1 and prediction != tied.min()
+        assert decided_by_mean >= 10
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
+    def test_nearest_equals_the_head_of_a_stable_sort(self, k):
+        # few distinct distances, so most rows tie across the k-th place
+        distances = np.random.default_rng(k).integers(0, 6, size=(200, 40)) * 0.5
+        np.testing.assert_array_equal(
+            _nearest(distances, k), np.argsort(distances, axis=1, kind="stable")[:, :k]
+        )
+
+    @pytest.mark.parametrize("m", [3, 9, 12])
+    def test_vote_means_are_each_class_alone(self, m):
+        # two classes with m neighbors each, the second class's distances a
+        # shuffle of the first's: their means are equal in exact arithmetic,
+        # and which float mean is smaller depends on the order of summation
+        rng = np.random.default_rng(m)
+        rows = 500
+        first = rng.uniform(0, 1, size=(rows, m))
+        second = rng.permuted(first, axis=1)
+        dist = np.hstack([first, second])
+        cls = np.repeat([[0, 1]], m, axis=1).repeat(rows, axis=0)
+        order = rng.permuted(np.tile(np.arange(2 * m), (rows, 1)), axis=1)
+        cls = np.take_along_axis(cls, order, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+        expected = [
+            int(dist[i][cls[i] == 1].mean() < dist[i][cls[i] == 0].mean())
+            for i in range(rows)
+        ]
+        np.testing.assert_array_equal(_vote(cls, dist, 2), expected)
 
     def test_accuracy_helper(self):
         train = np.array([[0.0], [10.0]])

@@ -78,6 +78,12 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ("gen glyphs", ["--set", "width=13"]),
         ("fig4", ["--set", "width=13", "--set", "height=13"]),
         ("classify --model missing", ["--set", "width=13", "--set", "height=13"]),
+        # every train size must hold the 10 glyph classes; checked before training
+        (
+            "fig4",
+            ["--set", "n_pairs=20", "--set", "glyphs_per_class=5"]
+            + ["--set", "epochs=1", "--set", "train_sizes=1,2"],
+        ),
         # k-NN needs knn_k <= the smallest train size; checked before training
         (
             "fig4",
@@ -89,6 +95,39 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
     # options are checked before a data, model or bank directory is read
     code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("train --data", "xs.wmat"),
+        ("analyze --model", "model.json"),
+        ("classify --model", "model.json"),
+    ],
+)
+def test_missing_input_directory_exits_2_with_one_line(
+    tmp_path, capsys, command, missing
+):
+    absent = tmp_path / "absent"
+    code = main(command.split() + [str(absent), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert str(absent / missing) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["classify --model", "fig2 --config"])
+def test_input_path_of_the_wrong_kind_exits_2_with_one_line(tmp_path, capsys, command):
+    # a file where a checkpoint directory belongs, a directory for a config file
+    path = tmp_path / "file.txt" if "--model" in command else tmp_path
+    path.touch()
+    code = main(command.split() + [str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
