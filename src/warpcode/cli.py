@@ -21,6 +21,7 @@ from .dataset import gen_dot_pairs, gen_rotated_glyphs, gen_videos
 from .detector import load_bank
 from .errors import (
     ConfigError,
+    DimensionError,
     DivergenceError,
     LockError,
     ModelConfigError,
@@ -140,9 +141,12 @@ def _cmd_train(args):
     p, out = cfg.params, cfg.out_dir
     xs = load_matrix(Path(args.data) / "xs.wmat")
     ys = load_matrix(Path(args.data) / "ys.wmat")
-    model, losses = experiments.fit_gated_model(
-        xs, ys, p, cfg.seed, pooling=p["pooling"], nonlinearity=p["nonlinearity"]
-    )
+    try:
+        model, losses = experiments.fit_gated_model(
+            xs, ys, p, cfg.seed, pooling=p["pooling"], nonlinearity=p["nonlinearity"]
+        )
+    except DimensionError as error:  # xs and ys do not pair up
+        raise ConfigError(f"{args.data}: {error}") from error
     save_model(model, out / "checkpoint")
     experiments.write_loss_curve(out / "loss_curve.csv", losses)
     print(f"final loss {losses[-1]:.4f}; checkpoint in {out / 'checkpoint'}")

@@ -117,14 +117,24 @@ class LabeledImageSet:
 # warped dot pairs
 
 
+def _dot_dim(geometry) -> int:
+    dim = _geometry_dim(geometry)
+    if dim < 2:  # every draw of a single pixel is constant
+        raise DimensionError(f"dot images need at least 2 pixels, got {dim}")
+    return dim
+
+
 def _random_dots(rng, geometry, density):
+    """A binary image with 0 < k < n dots among its n pixels: exactly the
+    draws that normalize, as the centered norm sqrt(k (n - k) / n) is then
+    at least sqrt(0.5), and 0 otherwise."""
     shape = _geometry_shape(geometry)
     size = _geometry_dim(geometry)
     while True:
-        raw = (rng.random(size) < density).astype(np.float64)
-        patch = contrast_normalize(raw)
-        if not patch.degenerate:
-            return raw.reshape(shape) if shape else raw, patch
+        dots = rng.random(size) < density
+        if 0 < np.count_nonzero(dots) < size:
+            raw = dots.astype(np.float64)
+            return raw.reshape(shape) if shape else raw
 
 
 def _draw_warp(rng, geometry, family):
@@ -156,6 +166,14 @@ def _apply_label(raw, label, geometry):
     raise DataError(f"unknown warp family {label.family!r}")
 
 
+def _normalize_or_raise(rows):
+    values, degenerate = normalize_rows(rows)
+    if degenerate.any():
+        row = int(np.flatnonzero(degenerate)[0])
+        raise DataError(f"row {row} is constant and cannot be contrast-normalized")
+    return values
+
+
 def gen_dot_pairs(
     n_pairs: int,
     geometry: Geometry,
@@ -168,28 +186,29 @@ def gen_dot_pairs(
     ``family`` is ``cyclic_shift`` (1-D shifts or 2-D wrap-around
     translations), ``rotation`` (2-D only), or ``mixed`` (fair coin per pair
     between translation and rotation).  Warp parameters are drawn uniformly;
-    the label records family and parameter.
+    the label records family and parameter.  The raw x and y rows are
+    contrast-normalized once per side, after every pair is drawn.
     """
     if not 0.0 < density < 1.0:
         raise DataError(f"density must lie in (0, 1), got {density}")
     if family not in PAIR_FAMILIES:
         raise DataError(f"unknown warp family {family!r}")
+    dim = _dot_dim(geometry)
     rng = np.random.default_rng(seed)
-    xs, ys, labels = [], [], []
-    while len(xs) < n_pairs:
-        raw, x_patch = _random_dots(rng, geometry, density)
+    raw_rows = np.empty((2, n_pairs, dim))  # x rows, then y rows
+    labels = []
+    for index in range(n_pairs):
+        raw = _random_dots(rng, geometry, density)
         pick = family
         if family == "mixed":
             pick = "rotation" if rng.random() < 0.5 else "cyclic_shift"
-        label = _draw_warp(rng, geometry, pick)
-        warped = _apply_label(raw, label, geometry)
-        y_patch = contrast_normalize(np.asarray(warped).ravel())
-        if y_patch.degenerate:
-            continue
-        xs.append(x_patch.values)
-        ys.append(y_patch.values)
-        labels.append(label)
-    return PairDataset(np.stack(xs), np.stack(ys), labels, geometry)
+        labels.append(_draw_warp(rng, geometry, pick))
+        raw_rows[0, index] = raw.ravel()
+        raw_rows[1, index] = np.ravel(_apply_label(raw, labels[-1], geometry))
+    # shifts and rotations keep the pixel sum and the norm, hence the
+    # centered norm, so a warped row is never degenerate
+    xs, ys = (_normalize_or_raise(rows) for rows in raw_rows)
+    return PairDataset(xs, ys, labels, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -249,34 +268,25 @@ def gen_videos(
     """
     schedule = [(family, (int(a), int(b))) for family, (a, b) in schedule]
     _validate_schedule(schedule, n_frames)
+    dim = _dot_dim(geometry)
     rng = np.random.default_rng(seed)
-    dim = _geometry_dim(geometry)
     clips = np.empty((n_clips, n_frames, dim))
-    raw_frames = np.empty((n_frames, dim))
     descriptors = []
-    made = 0
-    while made < n_clips:
-        raw, _ = _random_dots(rng, geometry, density)
+    for clip in clips:
+        current = _random_dots(rng, geometry, density)
         params = [
             (family, _draw_segment_parameter(rng, geometry, family), frames)
             for family, frames in schedule
         ]
-        # the frame loop draws no random numbers, so warping every frame
-        # before the degenerate check keeps the draw order
-        current = np.asarray(raw, dtype=np.float64)
         for family, parameter, (first, last) in params:
             for t in range(first, last + 1):
                 if t > 1:
                     current = _apply_label(
                         current, WarpLabel(family, parameter), geometry
                     )
-                raw_frames[t - 1] = current.ravel()
-        values, degenerate = normalize_rows(raw_frames)
-        if degenerate.any():
-            continue
-        clips[made] = values
+                clip[t - 1] = current.ravel()
+        clip[:] = _normalize_or_raise(clip)  # warps keep the draw's centered norm
         descriptors.append(tuple(params))
-        made += 1
     return VideoDataset(clips, descriptors, geometry)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NormalizationError,
     SharedSubspaceError,
 )
+from .model import pooled_products
 from .patches import ImagePatch
 from .storage import load_matrix, save_matrix
 from .warp_algebra import SubspaceBlock, SubspaceDecomposition, wrap_angle
@@ -97,19 +98,14 @@ def subspace_angle_cos(
 
 
 def rotation_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
-    """Response of the subspace rotation detector with preferred angle theta.
+    """Response of the subspace rotation detector with preferred angle theta:
+    ``pooled_code`` of the bank that holds this one detector.
 
     Equals ``|p_x| |p_y| cos(phi_y - phi_x - theta)``; requires both patches
     contrast-normalized.
     """
-    _require_normalized(x, y)
-    xv = _patch_values(x, block.basis_real.size)
-    yv = _patch_values(y, block.basis_real.size)
-    rot_r, rot_i = rotated_filter_pair(block, theta)
-    response = (block.basis_real @ yv) * (rot_r @ xv)
-    if block.basis_imag is not None:
-        response += (block.basis_imag @ yv) * (rot_i @ xv)
-    return float(response)
+    bank = _assemble_bank([block], [0], [theta], np.ones((1, 1)))
+    return float(pooled_code(bank, x, y).per_detector[0])
 
 
 def energy_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
@@ -120,11 +116,9 @@ def energy_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
     _require_normalized(x, y)
     xv = _patch_values(x, block.basis_real.size)
     yv = _patch_values(y, block.basis_real.size)
-    rot_r, rot_i = rotated_filter_pair(block, theta)
-    total = ((block.basis_real @ yv) + (rot_r @ xv)) ** 2
-    if block.basis_imag is not None:
-        total += ((block.basis_imag @ yv) + (rot_i @ xv)) ** 2
-    return float(total)
+    rotated = rotated_filter_pair(block, theta)
+    terms = zip(block.basis, rotated)
+    return float(sum(((plain @ yv) + (rot @ xv)) ** 2 for plain, rot in terms))
 
 
 def sequence_detector_response(
@@ -145,20 +139,16 @@ def sequence_detector_response(
     if len(frames) < 2:
         raise DimensionError("sequence detector needs at least two frames")
     dim = block.basis_real.size
-    real_sum = 0.0
-    imag_sum = 0.0
+    sums = [0.0] * block.block_dim
     quadratic = 0.0
     for s, frame in enumerate(frames):
         values = _patch_values(frame, dim)
-        rot_r, rot_i = rotated_filter_pair(block, -theta * s)
-        term_r = rot_r @ values
-        real_sum += term_r
-        quadratic += term_r * term_r
-        if block.basis_imag is not None:
-            term_i = rot_i @ values
-            imag_sum += term_i
-            quadratic += term_i * term_i
-    total = float(real_sum**2 + imag_sum**2)
+        rotated = rotated_filter_pair(block, -theta * s)
+        for k in range(block.block_dim):
+            term = rotated[k] @ values
+            sums[k] += term
+            quadratic += term * term
+    total = float(sum(part * part for part in sums))
     if return_parts:
         return total, float(quadratic), float(total - quadratic)
     return total
@@ -220,10 +210,7 @@ def _validate_shared_subspaces(decompositions, tol=1e-6):
         if other.dim != reference.dim:
             raise DimensionError("warp family members have different dimensions")
         for block in other.blocks:
-            vectors = [block.basis_real]
-            if block.basis_imag is not None:
-                vectors.append(block.basis_imag)
-            for vec in vectors:
+            for vec in block.basis:
                 best = min(
                     float(np.linalg.norm(vec - proj @ vec)) for proj in projectors
                 )
@@ -280,21 +267,14 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
     """
     detector_block = np.asarray(detector_block, dtype=np.intp)
     detector_angle = np.array(detector_angle, dtype=np.float64)
-    input_cols, output_cols, pool_rows = [], [], []
-    for block_index, theta in zip(detector_block, detector_angle):
-        block = blocks[block_index]
-        rot_r, rot_i = rotated_filter_pair(block, theta)
-        columns = [len(input_cols)]
-        input_cols.append(rot_r)
-        output_cols.append(block.basis_real)
-        if block.basis_imag is not None:
-            columns.append(len(input_cols))
-            input_cols.append(rot_i)
-            output_cols.append(block.basis_imag)
-        pool_rows.append(columns)
+    input_cols, output_cols, factor_detector = [], [], []
+    for detector, theta in enumerate(detector_angle):
+        block = blocks[detector_block[detector]]
+        input_cols.extend(rotated_filter_pair(block, theta)[: block.block_dim])
+        output_cols.extend(block.basis)
+        factor_detector.extend([detector] * block.block_dim)
     within = np.zeros((detector_angle.size, len(input_cols)))
-    for row, columns in enumerate(pool_rows):
-        within[row, columns] = 1.0
+    within[factor_detector, np.arange(len(input_cols))] = 1.0
     bank = DetectorBank(
         blocks=tuple(blocks),
         detector_block=detector_block,
@@ -308,19 +288,21 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
 
 
 def pooled_code(bank: DetectorBank, x, y) -> DetectorResponse:
-    """Per-detector responses and the pooled transformation code for a pair."""
+    """Per-detector responses and the pooled transformation code for a pair:
+    the one-row case of ``batch_pooled_responses``."""
     _require_normalized(x, y)
     xv = _patch_values(x, bank.dim)
     yv = _patch_values(y, bank.dim)
-    factor_products = (bank.input_filters.T @ xv) * (bank.output_filters.T @ yv)
-    per_detector = bank.within_pool @ factor_products
-    pooled = bank.across_pool.T @ per_detector
-    return DetectorResponse(per_detector=per_detector, pooled=pooled)
+    per_detector, pooled = batch_pooled_responses(bank, xv[None], yv[None])
+    return DetectorResponse(per_detector=per_detector[0], pooled=pooled[0])
 
 
 def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
-    """Vectorized ``pooled_code`` over rows of ``xs`` and ``ys``.
+    """Detector responses and pooled codes for the row pairs of ``xs``, ``ys``.
 
+    The per-detector responses are a gated model's pooled products
+    (``model.pooled_products``) with the bank's filters and P =
+    ``within_pool.T``; ``across_pool`` maps them to the pooled code.
     Inputs are assumed contrast-normalized already (rows of shape (n, dim));
     returns ``(per_detector, pooled)`` arrays with one row per pair.
     """
@@ -328,8 +310,7 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape[1] != bank.dim or ys.shape[1] != bank.dim:
         raise DimensionError("input rows do not match the bank dimension")
-    factor_products = (xs @ bank.input_filters) * (ys @ bank.output_filters)
-    per_detector = factor_products @ bank.within_pool.T
+    per_detector = pooled_products(bank, xs, ys, bank.within_pool.T)
     pooled = per_detector @ bank.across_pool
     return per_detector, pooled
 

@@ -40,6 +40,7 @@ from .model import (
     GatedModel,
     TrainConfig,
     image_codes,
+    pooled_products,
     standardizing_gain,
     train,
 )
@@ -166,9 +167,10 @@ def _is_int(value) -> bool:
 
 
 # Integer options whose least value is not 1: fig3's consistency fit
-# (``eigenmovie_consistency``) needs at least three frames per clip, and the
-# glyph rasterizer (``gen_rotated_glyphs``) at least 16x16 pixels.
-INTEGER_MINIMUMS = {("fig3", "n_frames"): 3} | {
+# (``eigenmovie_consistency``) needs at least three frames per clip, the
+# oracle's cyclic shift at least two pixels, and the glyph rasterizer
+# (``gen_rotated_glyphs``) at least 16x16 pixels.
+INTEGER_MINIMUMS = {("fig3", "n_frames"): 3, ("oracle", "dim"): 2} | {
     (experiment, side): 16
     for experiment in ("fig4", "gen glyphs", "classify")
     for side in ("width", "height")
@@ -232,7 +234,8 @@ class ExperimentConfig:
         by ``config_file``, then by ``overrides``.  Every value set must
         pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
         integer set for a list option is a list of one.  Runs that rotate
-        patches by any angle need ``width == height``."""
+        patches by any angle need ``width == height``, and runs that draw
+        dot images (those with a ``density``) at least two pixels."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -265,6 +268,9 @@ class ExperimentConfig:
                 f"rotations need square patches, got width {params['width']} "
                 f"x height {params['height']}"
             )
+        # every draw of a one-pixel dot image is constant
+        if "density" in params and params["width"] * params["height"] < 2:
+            raise ConfigError("dot images need width x height >= 2 pixels")
         seed = params.pop("seed")
         return cls(experiment, Path(out_dir), int(seed), params)
 
@@ -404,8 +410,7 @@ class Fig2Report:
 
 def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
     """Mean absolute pooled product response per band pair."""
-    products = (xs @ model.input_filters) * (ys @ model.output_filters)
-    pooled = np.abs(products[:, 0::2] + products[:, 1::2])
+    pooled = np.abs(pooled_products(model, xs, ys, model.within_pool))
     # a contiguous row per pair keeps numpy's pairwise summation order
     return np.ascontiguousarray(pooled.T).mean(axis=1)
 
@@ -584,8 +589,7 @@ def _balanced_subset(labels, size):
     if remaining:
         leftovers = np.setdiff1d(np.arange(labels.size), np.array(chosen))
         chosen.extend(leftovers[:remaining])
-    chosen = np.array(sorted(chosen))
-    return chosen
+    return np.array(sorted(chosen))
 
 
 def glyph_accuracies(train, test, k=1) -> Dict[str, float]:

@@ -208,14 +208,20 @@ def _as_matrix(data, dim, name):
     return arr
 
 
+def pooled_products(layer, xs, ys, pool) -> np.ndarray:
+    """The first layer of a gated model or a detector bank (``layer``): the
+    products of the filter responses of row pairs, pooled by ``pool``."""
+    return ((xs @ layer.input_filters) * (ys @ layer.output_filters)) @ pool
+
+
 def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
     """Mapping-unit activities for one pair (or a batch of pairs)."""
     xs = _as_matrix(x, model.dim_x, "x")
     ys = _as_matrix(y, model.dim_y, "y")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError("x and y batches differ in length")
-    products = (xs @ model.input_filters) * (ys @ model.output_filters)
-    pre = model.gate_gain * (products @ model.within_pool) @ model.across_pool
+    pooled = pooled_products(model, xs, ys, model.within_pool)
+    pre = model.gate_gain * pooled @ model.across_pool
     z = _nonlinearity(model.nonlinearity)(pre)
     return z[0] if z.shape[0] == 1 and (isinstance(x, ImagePatch) or np.ndim(x) == 1) else z
 
@@ -279,8 +285,7 @@ def image_codes(model: GatedModel, xs) -> np.ndarray:
     used when data does not come in pairs.
     """
     xs = _as_matrix(xs, model.dim_x, "x")
-    products = (xs @ model.input_filters) * (xs @ model.output_filters)
-    return products @ model.within_pool
+    return pooled_products(model, xs, xs, model.within_pool)
 
 
 def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain):
@@ -430,6 +435,8 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
         xs, ys = (np.asarray(part, dtype=np.float64) for part in data)
     if xs.shape[0] == 0:
         raise DataError("empty training set")
+    if xs.shape[0] != ys.shape[0]:
+        raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
     rng = np.random.default_rng(config.seed)
     velocities = {}
     trace = []

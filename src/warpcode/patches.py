@@ -54,24 +54,18 @@ class ImagePatch:
 
 
 def contrast_normalize(raw) -> ImagePatch:
-    """Subtract the mean and divide by the L2 norm.
+    """``normalize_rows`` of one vector, as a verified ``ImagePatch``.
 
-    Inputs whose centered norm falls below ``DEGENERATE_NORM`` (constant
-    vectors, for instance) cannot be normalized; they come back as an
-    all-zero patch with ``degenerate=True``.  Non-finite input raises
-    ``DataError``.
+    A constant vector comes back as an all-zero patch with
+    ``degenerate=True``; non-finite or empty input raises ``DataError``.
     """
-    values = np.asarray(raw, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise ValueError("empty patch")
-    if not np.isfinite(values).all():
-        raise DataError("cannot normalize a patch with non-finite values")
-    centered = values - values.mean()
-    centered -= centered.mean()  # second pass kills rounding residue of the mean
-    norm = float(np.linalg.norm(centered))
-    if norm < DEGENERATE_NORM:
-        return ImagePatch(np.zeros_like(centered), normalized=False, degenerate=True)
-    return ImagePatch(centered / norm, normalized=True)
+    (values,), (flag,) = normalize_rows(np.asarray(raw, dtype=float).reshape(1, -1))
+    return ImagePatch(values, normalized=not flag, degenerate=bool(flag))
+
+
+def _row_means(rows: np.ndarray, keepdims=False) -> np.ndarray:
+    # rows.mean(axis=1), the same sum and division, without its Python overhead
+    return np.add.reduce(rows, axis=1, keepdims=keepdims) / rows.shape[1]
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -80,13 +74,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(raw):
-    """``contrast_normalize`` applied to each row of an (n, d) array at once.
+    """Subtract each row's mean (twice, for the rounding residue) and divide
+    by its L2 norm; empty or non-finite input raises ``DataError``.
 
-    Returns ``(values, degenerate)``: the normalized rows, bit for bit what
-    ``contrast_normalize(row).values`` gives, and a boolean mask of the
-    degenerate rows, which come back all zero.  On C-contiguous rows numpy's
-    per-row pairwise ``mean(axis=1)`` is the 1-D ``mean()``, and
-    ``_row_norms`` makes the same ddot call as ``np.linalg.norm``.  Every
+    Returns ``(values, degenerate)``: the normalized rows and a mask of the
+    rows with a centered norm below ``DEGENERATE_NORM``, which come back all
+    zero.  A row's result does not depend on the other rows: numpy's per-row
+    pairwise sum over axis 1 is the 1-D ``sum()`` on C-contiguous rows, and
+    ``_row_norms`` makes the ddot call of ``np.linalg.norm``.  Every
     non-degenerate row is checked as ``ImagePatch`` checks a patch flagged
     normalized.
     """
@@ -95,13 +90,13 @@ def normalize_rows(raw):
         raise DataError(f"need a non-empty (n, d) array, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise DataError("cannot normalize rows with non-finite values")
-    centered = values - values.mean(axis=1, keepdims=True)
-    centered -= centered.mean(axis=1, keepdims=True)
+    centered = values - _row_means(values, keepdims=True)
+    centered -= _row_means(centered, keepdims=True)
     norms = _row_norms(centered)
     degenerate = norms < DEGENERATE_NORM
     centered /= np.where(degenerate, 1.0, norms)[:, None]
     centered[degenerate] = 0.0
-    means = centered.mean(axis=1)
+    means = _row_means(centered)
     norms = _row_norms(centered)
     off = ~(_is_unit(means, norms) | degenerate)
     if off.any():

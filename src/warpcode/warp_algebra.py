@@ -259,15 +259,17 @@ class SubspaceBlock:
         return self.basis_imag is not None
 
     @property
+    def basis(self) -> tuple:
+        """The basis vectors: ``basis_real``, then ``basis_imag`` if any."""
+        return tuple(v for v in (self.basis_real, self.basis_imag) if v is not None)
+
+    @property
     def block_dim(self) -> int:
-        return 2 if self.basis_imag is not None else 1
+        return len(self.basis)
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the block's subspace."""
-        proj = np.outer(self.basis_real, self.basis_real)
-        if self.basis_imag is not None:
-            proj += np.outer(self.basis_imag, self.basis_imag)
-        return proj
+        return sum(np.outer(vec, vec) for vec in self.basis)
 
     def rotation(self) -> np.ndarray:
         """The warp's action restricted to this block, as a dense matrix."""
@@ -308,12 +310,7 @@ class SubspaceDecomposition:
 
     def basis_matrix(self) -> np.ndarray:
         """All basis vectors as columns, in block order."""
-        cols = []
-        for b in self.blocks:
-            cols.append(b.basis_real)
-            if b.basis_imag is not None:
-                cols.append(b.basis_imag)
-        return np.stack(cols, axis=1)
+        return np.stack([vec for b in self.blocks for vec in b.basis], axis=1)
 
     def basis_gram_deviation(self) -> float:
         basis = self.basis_matrix()
@@ -445,7 +442,7 @@ def shared_subspace_alignment(a: WarpMatrix, b: WarpMatrix) -> AlignmentReport:
     for block in decomposition.two_dimensional_blocks():
         proj = block.projector()
         worst = 0.0
-        for vec in (block.basis_real, block.basis_imag):
+        for vec in block.basis:
             moved = b.entries @ vec
             worst = max(worst, float(np.linalg.norm(moved - proj @ moved)))
         leakages.append(worst)

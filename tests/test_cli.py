@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from warpcode import dataset
 from warpcode.cli import main
 from warpcode.detector import save_bank
 from warpcode.experiments import build_shift_bank
 from warpcode.model import GatedModel, save_model
-from warpcode.storage import load_matrix, read_csv
+from warpcode.storage import load_matrix, read_csv, save_matrix
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -90,6 +91,8 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
             ["--set", "n_pairs=20", "--set", "glyphs_per_class=5"]
             + ["--set", "train_sizes=10,20", "--set", "knn_k=15"],
         ),
+        # a cyclic shift needs at least two pixels
+        ("oracle", ["--set", "dim=1"]),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
@@ -99,6 +102,39 @@ def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, option
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen pairs", "gen videos", "fig2", "fig3"])
+def test_one_pixel_dot_images_exit_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, command
+):
+    # every draw of one pixel is constant, so redrawing it would never end
+    def no_draw(*args):
+        raise AssertionError("drew dots")
+
+    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    size = ["--set", "width=1", "--set", "height=1"]
+    code = main(command.split() + ["--out", str(tmp_path / "o")] + size)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: dot images need")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_ys", [5, 20])
+def test_train_on_unpaired_rows_exits_2_with_one_line(tmp_path, capsys, n_ys):
+    rows = np.random.default_rng(7).standard_normal((20, 9))
+    (tmp_path / "data").mkdir()
+    save_matrix(tmp_path / "data" / "xs.wmat", rows[:10])
+    save_matrix(tmp_path / "data" / "ys.wmat", rows[:n_ys])
+    args = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o")]
+    assert main(args + ["--set", "epochs=1", "--set", "n_factors=4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"10 x rows but {n_ys} y rows" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "checkpoint").exists()
 
 
 @pytest.mark.parametrize(

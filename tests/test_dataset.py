@@ -15,7 +15,7 @@ from warpcode.dataset import (
     load_idx,
     render_glyph,
 )
-from warpcode.errors import DataError, FormatError
+from warpcode.errors import DataError, DimensionError, FormatError
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import (
     load_matrix,
@@ -27,7 +27,37 @@ from warpcode.storage import (
 from warpcode.warp_algebra import rotate_image
 
 
+def reference_contrast_normalize(raw):
+    """The retired per-vector normalization: ``(values, degenerate)``."""
+    values = np.asarray(raw, dtype=np.float64).reshape(-1)
+    centered = values - values.mean()
+    centered -= centered.mean()
+    norm = float(np.linalg.norm(centered))
+    if norm < 1e-8:
+        return np.zeros_like(centered), True
+    return centered / norm, False
+
+
 class TestContrastNormalize:
+    @pytest.mark.parametrize("dim", [2, 7, 9, 32, 169, 256, 1690])
+    def test_equals_retired_per_vector_body_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        vectors = [
+            rng.standard_normal(dim) * 7 + 2,
+            (rng.random(dim) < 0.1).astype(np.float64),
+            np.full(dim, 0.25),
+        ]
+        for raw in vectors:
+            patch = contrast_normalize(raw)
+            expected, degenerate = reference_contrast_normalize(raw)
+            assert_bitwise_equal(patch.values, expected)
+            assert patch.degenerate == degenerate
+            assert patch.normalized == (not degenerate)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DataError):
+            contrast_normalize([])
+
     def test_constant_vector_degenerates_to_zero(self):
         patch = contrast_normalize(np.full(9, 3.7))
         assert patch.degenerate
@@ -63,11 +93,11 @@ class TestContrastNormalize:
 
 
 def reference_normalize_rows(rows):
-    """``normalize_rows`` as the per-row loop it replaces."""
-    patches = [contrast_normalize(row) for row in rows]
+    """``normalize_rows`` as the retired per-vector body, row by row."""
+    results = [reference_contrast_normalize(row) for row in rows]
     return (
-        np.stack([patch.values for patch in patches]),
-        np.array([patch.degenerate for patch in patches]),
+        np.stack([values for values, _ in results]),
+        np.array([degenerate for _, degenerate in results]),
     )
 
 
@@ -117,7 +147,86 @@ class TestNormalizeRows:
             normalize_rows(rows)
 
 
+def reference_dots(rng, geometry, density):
+    """The retired dot draw: redrawn until its normalization is not
+    degenerate; returns the raw image and its normalized values."""
+    size = geometry if isinstance(geometry, int) else geometry[0] * geometry[1]
+    shape = None if isinstance(geometry, int) else (geometry[1], geometry[0])
+    while True:
+        raw = (rng.random(size) < density).astype(np.float64)
+        values, degenerate = reference_contrast_normalize(raw)
+        if not degenerate:
+            return (raw.reshape(shape) if shape else raw), values
+
+
+def reference_dot_pairs(n_pairs, geometry, family, density, seed):
+    """The retired per-pair loop of ``gen_dot_pairs``, normalizing each
+    pair's x and y on their own and redrawing a degenerate y."""
+    rng = np.random.default_rng(seed)
+    xs, ys, labels = [], [], []
+    while len(xs) < n_pairs:
+        raw, x_values = reference_dots(rng, geometry, density)
+        pick = family
+        if family == "mixed":
+            pick = "rotation" if rng.random() < 0.5 else "cyclic_shift"
+        label = dataset._draw_warp(rng, geometry, pick)
+        warped = dataset._apply_label(raw, label, geometry)
+        y_values, degenerate = reference_contrast_normalize(np.ravel(warped))
+        if degenerate:
+            continue
+        xs.append(x_values)
+        ys.append(y_values)
+        labels.append(label)
+    return np.stack(xs), np.stack(ys), labels
+
+
 class TestDotPairs:
+    @pytest.mark.parametrize(
+        "geometry, family, density",
+        [
+            (16, "cyclic_shift", 0.2),
+            ((7, 5), "cyclic_shift", 0.1),
+            ((13, 13), "rotation", 0.05),
+            ((8, 8), "mixed", 0.15),
+            (3, "cyclic_shift", 0.5),  # small enough to redraw constant images
+        ],
+    )
+    def test_equals_retired_per_pair_loop_bitwise(self, geometry, family, density):
+        data = gen_dot_pairs(60, geometry, family=family, density=density, seed=8)
+        xs, ys, labels = reference_dot_pairs(60, geometry, family, density, 8)
+        assert_bitwise_equal(data.xs, xs)
+        assert_bitwise_equal(data.ys, ys)
+        assert data.labels == labels
+
+    @pytest.mark.parametrize("geometry", [1, 0, (1, 1), (1, 0)])
+    def test_fewer_than_two_pixels_rejected_before_any_draw(
+        self, geometry, monkeypatch
+    ):
+        # every draw of one pixel is constant, so redrawing would never end
+        def no_draw(*args):
+            raise AssertionError("drew dots")
+
+        monkeypatch.setattr(dataset, "_random_dots", no_draw)
+        with pytest.raises(DimensionError, match="at least 2 pixels"):
+            gen_dot_pairs(5, geometry, density=0.5)
+        with pytest.raises(DimensionError, match="at least 2 pixels"):
+            gen_videos(5, geometry, 3, [("cyclic_shift", (1, 3))], density=0.5)
+
+    def test_constant_warped_image_raises(self, monkeypatch):
+        # warps keep a draw's centered norm, so no real run gets here
+        apply_label = dataset._apply_label
+        calls = []
+
+        def warp(raw, label, geometry):
+            calls.append(None)
+            if len(calls) == 2:  # the second pair's y comes back constant
+                return np.full_like(raw, 0.5)
+            return apply_label(raw, label, geometry)
+
+        monkeypatch.setattr(dataset, "_apply_label", warp)
+        with pytest.raises(DataError, match="row 1 is constant"):
+            gen_dot_pairs(3, (8, 8), density=0.2, seed=1)
+
     def test_zero_shift_pairs_are_equal(self):
         data = gen_dot_pairs(20, 16, family="cyclic_shift", density=0.3, seed=3)
         for i in range(len(data)):
@@ -235,33 +344,20 @@ class TestVideos:
         assert_bitwise_equal(videos.clips, clips)
         assert videos.descriptors == descriptors
 
-    def test_degenerate_frame_drops_the_clip_and_keeps_the_draw_order(self, monkeypatch):
-        schedule = [("cyclic_shift", (1, 4))]
-        plain = gen_videos(5, (8, 8), 4, schedule, density=0.2, seed=2)
-        calls_per_clip = 3
-
-        def patched_warp():
-            # the fifth warp, clip 1's second, comes back constant
-            calls = []
-
-            def warp(raw, label, geometry):
-                calls.append(None)
-                if len(calls) == calls_per_clip + 2:
-                    return np.full_like(raw, 0.5)
-                return apply_label(raw, label, geometry)
-
-            return warp
-
+    def test_degenerate_frame_raises(self, monkeypatch):
+        # warps keep a draw's centered norm, so no real run gets here
         apply_label = dataset._apply_label
-        monkeypatch.setattr(dataset, "_apply_label", patched_warp())
-        videos = gen_videos(4, (8, 8), 4, schedule, density=0.2, seed=2)
-        monkeypatch.setattr(dataset, "_apply_label", patched_warp())
-        clips, descriptors = reference_videos(4, (8, 8), 4, schedule, 0.2, 2)
-        assert_bitwise_equal(videos.clips, clips)
-        assert videos.descriptors == descriptors
-        kept = [0, 2, 3, 4]
-        assert_bitwise_equal(videos.clips, plain.clips[kept])
-        assert videos.descriptors == [plain.descriptors[i] for i in kept]
+        calls = []
+
+        def warp(raw, label, geometry):
+            calls.append(None)
+            if len(calls) == 5:  # clip 1's second warp comes back constant
+                return np.full_like(raw, 0.5)
+            return apply_label(raw, label, geometry)
+
+        monkeypatch.setattr(dataset, "_apply_label", warp)
+        with pytest.raises(DataError, match="row 2 is constant"):
+            gen_videos(4, (8, 8), 4, [("cyclic_shift", (1, 4))], density=0.2, seed=2)
 
 
 def reference_videos(n_clips, geometry, n_frames, schedule, density, seed):
@@ -270,7 +366,7 @@ def reference_videos(n_clips, geometry, n_frames, schedule, density, seed):
     rng = np.random.default_rng(seed)
     clips, descriptors = [], []
     while len(clips) < n_clips:
-        raw, _ = dataset._random_dots(rng, geometry, density)
+        raw, _ = reference_dots(rng, geometry, density)
         params = [
             (family, dataset._draw_segment_parameter(rng, geometry, family), frames)
             for family, frames in schedule
@@ -283,10 +379,10 @@ def reference_videos(n_clips, geometry, n_frames, schedule, density, seed):
                     current = dataset._apply_label(
                         current, dataset.WarpLabel(family, parameter), geometry
                     )
-                patch = contrast_normalize(current.ravel())
-                if patch.degenerate:
+                values, degenerate = reference_contrast_normalize(current.ravel())
+                if degenerate:
                     break
-                frames_out.append(patch.values)
+                frames_out.append(values)
             if len(frames_out) < last:
                 break
         if len(frames_out) < n_frames:
@@ -342,10 +438,10 @@ def reference_glyph_images(n_per_class, geometry, seed):
                 raw = reference_render_glyph(
                     digit, geometry, thickness, offset, scale, angle
                 )
-                patch = contrast_normalize(raw.ravel())
-                if not patch.degenerate:
+                values, degenerate = reference_contrast_normalize(raw.ravel())
+                if not degenerate:
                     break
-            images.append(patch.values)
+            images.append(values)
     return np.stack(images)[rng.permutation(10 * n_per_class)]
 
 

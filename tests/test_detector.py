@@ -22,7 +22,8 @@ from warpcode.errors import (
     SharedSubspaceError,
 )
 from warpcode.experiments import build_shift_bank
-from warpcode.patches import ImagePatch, contrast_normalize
+from warpcode.model import GatedModel, infer_mappings
+from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.warp_algebra import (
     WarpMatrix,
     decompose,
@@ -389,6 +390,30 @@ class TestDetectorBank:
             )
             np.testing.assert_allclose(per[i], single.per_detector, atol=1e-12)
             np.testing.assert_allclose(pooled[i], single.pooled, atol=1e-12)
+
+    @pytest.mark.parametrize("oracle_bank", [False, True])
+    def test_gated_model_holding_the_bank_gives_its_pooled_code(
+        self, shift16, oracle_bank
+    ):
+        # a bank is a gated model with gain 1, no gate nonlinearity and
+        # P = within_pool.T: both compute the same pooled products
+        grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]
+        bank = build_bank_from_warp_family([shift16], grid)
+        if oracle_bank:
+            bank = build_shift_bank(16)
+        model = GatedModel(
+            bank.input_filters,
+            bank.output_filters,
+            bank.within_pool.T,
+            bank.across_pool,
+            nonlinearity="identity",
+            gate_gain=1.0,
+        )
+        xs = normalize_rows(np.random.default_rng(60).standard_normal((9, 16)))[0]
+        ys = np.roll(xs, 5, axis=1)
+        _, pooled = batch_pooled_responses(bank, xs, ys)
+        mapped = infer_mappings(model, xs, ys)
+        np.testing.assert_array_equal(mapped.view(np.uint64), pooled.view(np.uint64))
 
     def test_bank_round_trips_through_wmat_container(self, shift16, tmp_path):
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]

@@ -1,5 +1,9 @@
 """Tests for the gated autoencoder and energy model."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -443,6 +447,17 @@ class TestTrain:
             train(model, (xs, ys), TrainConfig(500.0, 50, 10, seed=18))
         assert info.value.epoch >= 0
 
+    @pytest.mark.parametrize("n_ys", [4, 16])
+    def test_row_count_mismatch_raises_before_the_first_step(self, n_ys):
+        rng = np.random.default_rng(63)
+        xs, ys = shift_pairs(rng, 13, 10)
+        ys = np.concatenate([ys, ys])[:n_ys]
+        model = GatedModel.initialize(13, 13, 12, 6, seed=17)
+        before = model.input_filters.copy()
+        with pytest.raises(DimensionError, match="10 x rows but"):
+            train(model, (xs, ys), TrainConfig(0.3, 2, 5, seed=18))
+        np.testing.assert_array_equal(model.input_filters, before)
+
     def test_loss_trend_smoothed_non_increasing(self):
         # 5-epoch moving average of the loss trace must not increase after
         # the burn-in epochs (stochasticity-tolerant formulation).
@@ -519,3 +534,16 @@ def test_pipeline_training_makes_mapping_units_respond_to_the_pair():
     model, _ = fit_gated_model(data.xs[:2000], data.ys[:2000], params, seed=72)
     z = infer_mappings(model, data.xs[2000:], data.ys[2000:])
     assert np.median(z.std(axis=0)) >= 0.1
+
+
+def test_flop_formulas_match_counted_execution():
+    # perfbench's self-test counts the array operations of loss_and_gradient
+    # and batch_pooled_responses; a change to either must update its formulas
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "flops.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
