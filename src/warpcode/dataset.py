@@ -2,8 +2,14 @@
 
 All emitted patches are contrast-normalized; generators are pure functions
 of their seed.  Dot-image rotations use the same warp definition as the
-analytic machinery (``warp_algebra.rotate_image``), so train-time data and
+analytic machinery (``warp_algebra.rotate_stack``), so train-time data and
 closed-form detectors agree on what "rotation" means.
+
+The generators draw every random number in a per-item loop, then warp and
+normalize whole stacks: all pairs at once, all clips of a video set in
+lock-step one frame at a time, all glyphs in one ``normalize_rows`` call.  A
+stack rotation is bit for bit the per-image one and a shift only copies
+values, so the output equals item-by-item generation exactly.
 """
 
 from dataclasses import dataclass
@@ -14,11 +20,17 @@ import numpy as np
 from .errors import DataError, DimensionError, FormatError
 from .patches import ImagePatch, contrast_normalize, normalize_rows
 from .storage import read_idx, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from .warp_algebra import rotate_image
+# perfbench/tracer.py times warpcode.dataset.rotate_image, so the name stays
+# bound here although the generators rotate whole stacks
+from .warp_algebra import rotate_image, rotate_stack  # noqa: F401
 
 Geometry = Union[int, Tuple[int, int]]
 
 DOT_DENSITY_DEFAULT = 0.1
+
+# A dot image is redrawn until it holds a dot and a blank pixel; a geometry
+# and density that need more draws than this on average are refused.
+MAX_DOT_DRAWS = 1000
 
 SPLIT_TAGS = ("train", "holdout", "test")
 PAIR_FAMILIES = ("cyclic_shift", "rotation", "mixed")
@@ -117,24 +129,37 @@ class LabeledImageSet:
 # warped dot pairs
 
 
-def _dot_dim(geometry) -> int:
+def dot_image_dim(geometry, density) -> int:
+    """The pixel count n of a dot image, once its draws are known to end.
+
+    Raises ``DimensionError`` below 2 pixels (every draw is constant) and
+    ``DataError`` for a density p outside (0, 1) or one whose draws are
+    valid (0 < dots < n) with probability 1 - (1 - p)^n - p^n below
+    1 / ``MAX_DOT_DRAWS``.
+    """
     dim = _geometry_dim(geometry)
-    if dim < 2:  # every draw of a single pixel is constant
+    if dim < 2:
         raise DimensionError(f"dot images need at least 2 pixels, got {dim}")
+    if not 0.0 < density < 1.0:
+        raise DataError(f"density must lie in (0, 1), got {density}")
+    valid = 1.0 - (1.0 - density) ** dim - density**dim
+    if valid * MAX_DOT_DRAWS < 1.0:
+        raise DataError(
+            f"dot images need a density whose {dim}-pixel draws hold a dot and "
+            f"a blank pixel within {MAX_DOT_DRAWS} draws on average; density "
+            f"{density} gives probability {valid:.3g} per draw"
+        )
     return dim
 
 
-def _random_dots(rng, geometry, density):
-    """A binary image with 0 < k < n dots among its n pixels: exactly the
-    draws that normalize, as the centered norm sqrt(k (n - k) / n) is then
-    at least sqrt(0.5), and 0 otherwise."""
-    shape = _geometry_shape(geometry)
-    size = _geometry_dim(geometry)
+def _random_dots(rng, dim, density):
+    """A flat binary image with 0 < k < dim dots: exactly the draws that
+    normalize, as the centered norm sqrt(k (dim - k) / dim) is then at least
+    sqrt(0.5), and 0 otherwise."""
     while True:
-        dots = rng.random(size) < density
-        if 0 < np.count_nonzero(dots) < size:
-            raw = dots.astype(np.float64)
-            return raw.reshape(shape) if shape else raw
+        dots = rng.random(dim) < density
+        if 0 < np.count_nonzero(dots) < dim:
+            return dots.astype(np.float64)
 
 
 def _draw_warp(rng, geometry, family):
@@ -154,16 +179,24 @@ def _draw_warp(rng, geometry, family):
     raise DataError(f"unknown warp family {family!r}")
 
 
-def _apply_label(raw, label, geometry):
+def _warp(rows, family, parameters, geometry):
+    """Each row of an ``(m, dim)`` array warped by its own parameter of one
+    family: one stack rotation, or one index gather for the shifts."""
     shape = _geometry_shape(geometry)
-    if label.family == "cyclic_shift":
+    if family == "rotation":
         if shape is None:
-            return np.roll(raw, label.parameter)
-        dx, dy = label.parameter
-        return np.roll(raw, (dy, dx), axis=(0, 1))
-    if label.family == "rotation":
-        return rotate_image(raw, label.parameter)
-    raise DataError(f"unknown warp family {label.family!r}")
+            raise DimensionError("rotations need a 2-D geometry")
+        return rotate_stack(rows.reshape(-1, *shape), parameters).reshape(rows.shape)
+    if shape is None:  # 1-D shifts by s: rows of one pixel row
+        height, width = 1, rows.shape[1]
+        dx, dy = np.asarray(parameters, dtype=np.int64)[:, None], 0
+    else:
+        height, width = shape
+        dx, dy = np.asarray(parameters, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+    # np.roll's target pixel (r, c) takes source ((r - dy) % h, (c - dx) % w)
+    row, col = np.divmod(np.arange(height * width), width)
+    source = (row - dy) % height * width + (col - dx) % width
+    return np.take_along_axis(rows, source, axis=1)
 
 
 def _normalize_or_raise(rows):
@@ -186,28 +219,35 @@ def gen_dot_pairs(
     ``family`` is ``cyclic_shift`` (1-D shifts or 2-D wrap-around
     translations), ``rotation`` (2-D only), or ``mixed`` (fair coin per pair
     between translation and rotation).  Warp parameters are drawn uniformly;
-    the label records family and parameter.  The raw x and y rows are
-    contrast-normalized once per side, after every pair is drawn.
+    the label records family and parameter.  Every pair is drawn first; then
+    all pairs of a family are warped as one stack, and the raw x and y rows
+    are contrast-normalized once per side.
     """
-    if not 0.0 < density < 1.0:
-        raise DataError(f"density must lie in (0, 1), got {density}")
     if family not in PAIR_FAMILIES:
         raise DataError(f"unknown warp family {family!r}")
-    dim = _dot_dim(geometry)
+    dim = dot_image_dim(geometry, density)
     rng = np.random.default_rng(seed)
-    raw_rows = np.empty((2, n_pairs, dim))  # x rows, then y rows
+    raw_xs = np.empty((n_pairs, dim))
     labels = []
     for index in range(n_pairs):
-        raw = _random_dots(rng, geometry, density)
+        raw_xs[index] = _random_dots(rng, dim, density)
         pick = family
         if family == "mixed":
             pick = "rotation" if rng.random() < 0.5 else "cyclic_shift"
         labels.append(_draw_warp(rng, geometry, pick))
-        raw_rows[0, index] = raw.ravel()
-        raw_rows[1, index] = np.ravel(_apply_label(raw, labels[-1], geometry))
+    parameters = [label.parameter for label in labels]
+    if family == "mixed":
+        raw_ys = np.empty_like(raw_xs)
+        for pick in ("cyclic_shift", "rotation"):
+            chosen = [i for i, label in enumerate(labels) if label.family == pick]
+            if chosen:
+                picked = [parameters[i] for i in chosen]
+                raw_ys[chosen] = _warp(raw_xs[chosen], pick, picked, geometry)
+    else:  # one family: warp the x rows as they are, without a gathered copy
+        raw_ys = _warp(raw_xs, family, parameters, geometry)
     # shifts and rotations keep the pixel sum and the norm, hence the
     # centered norm, so a warped row is never degenerate
-    xs, ys = (_normalize_or_raise(rows) for rows in raw_rows)
+    xs, ys = (_normalize_or_raise(rows) for rows in (raw_xs, raw_ys))
     return PairDataset(xs, ys, labels, geometry)
 
 
@@ -264,29 +304,32 @@ def gen_videos(
     ``schedule`` lists (family, (first_frame, last_frame)) segments covering
     1..n_frames contiguously.  One parameter is drawn per segment per clip;
     within a segment the same warp is applied to the evolving frame at every
-    step.  Orientation, speed and direction vary across clips.
+    step.  Orientation, speed and direction vary across clips.  Every clip's
+    dots and parameters are drawn first; then all clips step in lock-step:
+    one stack warp and one normalization of the raw frames per frame.
     """
     schedule = [(family, (int(a), int(b))) for family, (a, b) in schedule]
     _validate_schedule(schedule, n_frames)
-    dim = _dot_dim(geometry)
+    dim = dot_image_dim(geometry, density)
     rng = np.random.default_rng(seed)
-    clips = np.empty((n_clips, n_frames, dim))
+    current = np.empty((n_clips, dim))
     descriptors = []
-    for clip in clips:
-        current = _random_dots(rng, geometry, density)
-        params = [
-            (family, _draw_segment_parameter(rng, geometry, family), frames)
-            for family, frames in schedule
-        ]
-        for family, parameter, (first, last) in params:
-            for t in range(first, last + 1):
-                if t > 1:
-                    current = _apply_label(
-                        current, WarpLabel(family, parameter), geometry
-                    )
-                clip[t - 1] = current.ravel()
-        clip[:] = _normalize_or_raise(clip)  # warps keep the draw's centered norm
-        descriptors.append(tuple(params))
+    for row in current:
+        row[:] = _random_dots(rng, dim, density)
+        descriptors.append(
+            tuple(
+                (family, _draw_segment_parameter(rng, geometry, family), frames)
+                for family, frames in schedule
+            )
+        )
+    # warps keep the draw's centered norm, so no frame is degenerate
+    clips = np.empty((n_clips, n_frames, dim))
+    clips[:, 0] = _normalize_or_raise(current)
+    for segment, (family, (first, last)) in enumerate(schedule):
+        parameters = [params[segment][1] for params in descriptors]
+        for t in range(max(first, 2), last + 1):
+            current = _warp(current, family, parameters, geometry)
+            clips[:, t - 1] = _normalize_or_raise(current)
     return VideoDataset(clips, descriptors, geometry)
 
 
@@ -406,13 +449,15 @@ def gen_rotated_glyphs(
     thickness/offset/scale jitter, a rotation uniform on (-max_rotation,
     max_rotation], and contrast normalization.  Split tags partition the set
     into 63% train / 7% holdout (a tenth of the training pool) / 30% test.
+    A degenerate (constant) rendering is redrawn; all glyphs are then
+    normalized in one ``normalize_rows`` call.
     """
     width, height = geometry
     if width < 16 or height < 16:
         raise DimensionError("glyph geometry must be at least 16x16")
     rng = np.random.default_rng(seed)
     total = 10 * n_per_class
-    images = np.empty((total, width * height))
+    raw = np.empty((total, width * height))
     labels = np.empty(total, dtype=np.int64)
     index = 0
     for digit in range(10):
@@ -422,20 +467,22 @@ def gen_rotated_glyphs(
                 offset = rng.uniform(-0.05, 0.05, size=2)
                 scale = rng.uniform(0.9, 1.1)
                 angle = rng.uniform(-max_rotation, max_rotation) if max_rotation else 0.0
-                raw = render_glyph(
+                glyph = render_glyph(
                     digit,
                     geometry,
                     thickness=thickness,
                     offset=offset,
                     scale=scale,
                     rotation=angle,
-                )
-                patch = contrast_normalize(raw.ravel())
-                if not patch.degenerate:
+                ).ravel()
+                # A centered norm is at least half the range, so a glyph
+                # this varied is not degenerate; below it, decide exactly.
+                if np.ptp(glyph) >= 1e-6 or not contrast_normalize(glyph).degenerate:
                     break
-            images[index] = patch.values
+            raw[index] = glyph
             labels[index] = digit
             index += 1
+    images = _normalize_or_raise(raw)
     order = rng.permutation(total)
     images, labels = images[order], labels[order]
     split = np.empty(total, dtype=object)

@@ -30,12 +30,13 @@ from .classifiers import fit_logistic_regression, fit_pca, knn_accuracy
 from .dataset import (
     GLYPH_STROKES,
     PAIR_FAMILIES,
+    dot_image_dim,
     gen_dot_pairs,
     gen_rotated_glyphs,
     gen_videos,
 )
 from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
-from .errors import ConfigError, LockError
+from .errors import ConfigError, DataError, DimensionError, LockError
 from .model import (
     GatedModel,
     TrainConfig,
@@ -235,7 +236,8 @@ class ExperimentConfig:
         pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
         integer set for a list option is a list of one.  Runs that rotate
         patches by any angle need ``width == height``, and runs that draw
-        dot images (those with a ``density``) at least two pixels."""
+        dot images (those with a ``density``) a geometry and density that
+        ``dataset.dot_image_dim`` accepts."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -268,9 +270,13 @@ class ExperimentConfig:
                 f"rotations need square patches, got width {params['width']} "
                 f"x height {params['height']}"
             )
-        # every draw of a one-pixel dot image is constant
-        if "density" in params and params["width"] * params["height"] < 2:
-            raise ConfigError("dot images need width x height >= 2 pixels")
+        # dot images are redrawn until they hold a dot and a blank pixel
+        if "density" in params:
+            geometry = (params["width"], params["height"])
+            try:
+                dot_image_dim(geometry, params["density"])
+            except (DataError, DimensionError) as error:
+                raise ConfigError(str(error)) from None
         seed = params.pop("seed")
         return cls(experiment, Path(out_dir), int(seed), params)
 

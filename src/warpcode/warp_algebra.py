@@ -118,85 +118,95 @@ def make_translation_warp(width: int, height: int, dx: int, dy: int) -> WarpMatr
 # cannot get the residual below ~0.5 because adjacent rows at half-pixel
 # offsets are strongly correlated.
 
+# Images per FFT batch in ``rotate_stack``: bounds the complex spectra and
+# phase tables one call holds at once, so rotating a large stack costs no
+# more peak memory than rotating 128 images.
+ROTATE_BLOCK = 128
 
-class _RotationPlan:
-    """Shear schedule for rotating a ``height x width`` patch about its center.
 
-    The complex phase tables of the row and column shears are built once per
-    plan; the first and third shears share the row table.
+def _shear_phase(shifts: np.ndarray, n: int) -> np.ndarray:
+    """Fourier phases shifting row ``i`` of an ``n``-wide image by
+    ``shifts[..., i]``, for any leading stack axes."""
+    freqs = np.fft.fftfreq(n) * n
+    phase = np.exp(-2j * np.pi * freqs * shifts[..., None] / n)
+    if n % 2 == 0:
+        # The Nyquist bin must stay real; +-1 keeps each shear orthogonal.
+        phase[..., n // 2] = np.where(np.cos(np.pi * shifts) >= 0.0, 1.0, -1.0)
+    return phase
+
+
+def _shear_rows(images: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    spectrum = np.fft.fft(images, axis=-1)
+    # The product gets its own buffer.  Written as ``phase * fft(...)``,
+    # numpy reuses a temporary spectrum above 256 KiB as the output and
+    # computes ``spectrum * phase`` there; the complex multiply is not
+    # commutative bit for bit, so results would depend on the stack size.
+    shifted = np.multiply(phase, spectrum, out=np.empty_like(spectrum))
+    return np.fft.ifft(shifted, axis=-1).real
+
+
+def _shear_rotate(images: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Three shears turning each ``(height, width)`` image of a stack by its
+    ``residual`` angle; the first and third shears share the row table."""
+    _, height, width = images.shape
+    # Signs account for the row index growing downward while the display y
+    # axis grows upward; positive angles rotate counterclockwise.
+    row_shifts = np.tan(residual / 2.0)[:, None] * (np.arange(height) - (height - 1) / 2.0)
+    col_shifts = -np.sin(residual)[:, None] * (np.arange(width) - (width - 1) / 2.0)
+    row_phase = _shear_phase(row_shifts, width)
+    out = _shear_rows(images, row_phase)
+    # The column shear is a row shear of the transpose.
+    out = _shear_rows(out.transpose(0, 2, 1), _shear_phase(col_shifts, height))
+    out = np.ascontiguousarray(out.transpose(0, 2, 1))
+    return _shear_rows(out, row_phase)
+
+
+def rotate_stack(images: np.ndarray, angles) -> np.ndarray:
+    """Rotate each image of an ``(n, height, width)`` stack counterclockwise
+    about its center by its own angle (one angle per image).
+
+    Each image is first turned by the nearest multiple of 90 degrees, an
+    exact ``rot90`` per class of equal turns, then sheared by the residual
+    angle in blocks of ``ROTATE_BLOCK`` images, one FFT, multiply and
+    inverse FFT per shear and block.  Images whose residual is 0 are not
+    sheared.  Every image comes out bit for bit as it does rotated alone.
+    Non-square images only turn by angles up to pi/4.
     """
-
-    def __init__(self, width: int, height: int, angle: float):
-        self.width = width
-        self.height = height
-        folded = wrap_angle(angle)
-        if width == height:
-            self.quarter_turns = int(np.round(folded / (np.pi / 2.0)))
-            residual = folded - self.quarter_turns * np.pi / 2.0
-        else:
-            if abs(folded) > np.pi / 4.0 + 1e-12:
-                raise DimensionError(
-                    "non-square patches only support rotation angles up to pi/4"
-                )
-            self.quarter_turns = 0
-            residual = folded
-        self.residual_angle = residual
-        if residual != 0.0:
-            row_offsets = np.arange(height) - (height - 1) / 2.0
-            col_offsets = np.arange(width) - (width - 1) / 2.0
-            # Signs account for the row index growing downward while the
-            # display y axis grows upward; positive angles rotate
-            # counterclockwise.
-            row_shifts = np.tan(residual / 2.0) * row_offsets
-            col_shifts = -np.sin(residual) * col_offsets
-            self.row_phase = self._shear_phase(row_shifts, width)
-            self.col_phase = self._shear_phase(col_shifts, height)
-
-    def apply(self, image: np.ndarray) -> np.ndarray:
-        """Rotate one ``height x width`` image (returns a new array)."""
-        out = image.reshape(self.height, self.width)
-        out = np.rot90(out, self.quarter_turns)
-        if self.residual_angle != 0.0:
-            out = self._shear_rows(out, self.row_phase)
-            # The column shear is a row shear of the transpose.
-            out = np.ascontiguousarray(self._shear_rows(out.T, self.col_phase).T)
-            out = self._shear_rows(out, self.row_phase)
-        return np.ascontiguousarray(out)
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the plan to each column of a (d x d) matrix."""
-        d = self.width * self.height
-        out = np.empty((d, d))
-        for j in range(d):
-            out[:, j] = self.apply(mat[:, j].reshape(self.height, self.width)).ravel()
-        return out
-
-    @staticmethod
-    def _shear_phase(shifts: np.ndarray, n: int) -> np.ndarray:
-        """Fourier phases shifting row ``i`` of an ``n``-wide image by ``shifts[i]``."""
-        freqs = np.fft.fftfreq(n) * n
-        phase = np.exp(-2j * np.pi * freqs[None, :] * shifts[:, None] / n)
-        if n % 2 == 0:
-            # The Nyquist bin must stay real; +-1 keeps each shear orthogonal.
-            phase[:, n // 2] = np.where(np.cos(np.pi * shifts) >= 0.0, 1.0, -1.0)
-        return phase
-
-    @staticmethod
-    def _shear_rows(image: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(phase * np.fft.fft(image, axis=1), axis=1).real
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3:
+        raise DimensionError(f"rotate_stack expects an (n, h, w) stack, got {images.shape}")
+    n, height, width = images.shape
+    folded = np.atleast_1d(wrap_angle(np.asarray(angles, dtype=np.float64)))
+    if folded.shape != (n,):
+        raise DimensionError(f"{n} images need {n} angles, got shape {folded.shape}")
+    if width == height:
+        turns = np.round(folded / (np.pi / 2.0))
+        residual = folded - turns * np.pi / 2.0
+    else:
+        if (np.abs(folded) > np.pi / 4.0 + 1e-12).any():
+            raise DimensionError(
+                "non-square patches only support rotation angles up to pi/4"
+            )
+        turns, residual = np.zeros(n), folded
+    out = np.empty_like(images)
+    for k in np.unique(turns):
+        chosen = turns == k
+        out[chosen] = np.rot90(images[chosen], int(k), axes=(1, 2))
+    moving = np.flatnonzero(residual != 0.0)
+    for start in range(0, len(moving), ROTATE_BLOCK):
+        block = moving[start : start + ROTATE_BLOCK]
+        out[block] = _shear_rotate(out[block], residual[block])
+    return out
 
 
 def rotate_image(image: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a 2-D image counterclockwise about its center.
-
-    Same operator as :func:`make_rotation_warp` without materializing the
-    matrix; use this for bulk data generation.
-    """
+    """Rotate a 2-D image counterclockwise about its center: a stack of one
+    through :func:`rotate_stack`, the operator of :func:`make_rotation_warp`
+    without materializing the matrix."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise DimensionError("rotate_image expects a 2-D array")
-    plan = _RotationPlan(image.shape[1], image.shape[0], angle)
-    return plan.apply(image)
+    return rotate_stack(image[None], [angle])[0]
 
 
 def make_rotation_warp(width: int, height: int, angle: float) -> WarpMatrix:
@@ -205,12 +215,14 @@ def make_rotation_warp(width: int, height: int, angle: float) -> WarpMatrix:
     Built from exact quarter-turn permutations plus three Fourier-interpolated
     shears, so the warp is orthogonal to machine precision and multiples of
     90 degrees reduce to exact pixel permutations.  Content near the corners
-    wraps around shear-wise instead of being cropped.
+    wraps around shear-wise instead of being cropped.  Column ``j`` is the
+    ``j``-th unit image rotated; all ``d`` are rotated as one stack.
     """
     if width < 3 or height < 3:
         raise DimensionError("rotation warp needs width, height >= 3")
-    plan = _RotationPlan(width, height, angle)
-    return WarpMatrix.from_entries(plan.apply_matrix(np.eye(width * height)))
+    d = width * height
+    columns = rotate_stack(np.eye(d).reshape(d, height, width), np.full(d, angle))
+    return WarpMatrix.from_entries(np.ascontiguousarray(columns.reshape(d, d).T))
 
 
 def apply_warp(warp: WarpMatrix, patch: ImagePatch) -> ImagePatch:

@@ -122,6 +122,24 @@ def test_one_pixel_dot_images_exit_2_before_any_draw(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["gen pairs", "gen videos", "fig2", "fig3", "fig4"])
+def test_improbable_dot_draws_exit_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a 13x13 draw at density 1e-12 holds a dot once in about 6e9 draws
+    def no_draw(*args):
+        raise AssertionError("drew dots")
+
+    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    options = ["--set", "density=1e-12"]
+    code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: dot images need a density")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_ys", [5, 20])
 def test_train_on_unpaired_rows_exits_2_with_one_line(tmp_path, capsys, n_ys):
     rows = np.random.default_rng(7).standard_normal((20, 9))

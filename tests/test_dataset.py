@@ -159,6 +159,17 @@ def reference_dots(rng, geometry, density):
             return (raw.reshape(shape) if shape else raw), values
 
 
+def reference_apply_label(raw, label, geometry):
+    """The retired per-image warp: ``np.roll`` for a shift, ``rotate_image``
+    (a stack of one) for a rotation."""
+    if label.family == "cyclic_shift":
+        if isinstance(geometry, int):
+            return np.roll(raw, label.parameter)
+        dx, dy = label.parameter
+        return np.roll(raw, (dy, dx), axis=(0, 1))
+    return rotate_image(raw, label.parameter)
+
+
 def reference_dot_pairs(n_pairs, geometry, family, density, seed):
     """The retired per-pair loop of ``gen_dot_pairs``, normalizing each
     pair's x and y on their own and redrawing a degenerate y."""
@@ -170,7 +181,7 @@ def reference_dot_pairs(n_pairs, geometry, family, density, seed):
         if family == "mixed":
             pick = "rotation" if rng.random() < 0.5 else "cyclic_shift"
         label = dataset._draw_warp(rng, geometry, pick)
-        warped = dataset._apply_label(raw, label, geometry)
+        warped = reference_apply_label(raw, label, geometry)
         y_values, degenerate = reference_contrast_normalize(np.ravel(warped))
         if degenerate:
             continue
@@ -189,11 +200,14 @@ class TestDotPairs:
             ((13, 13), "rotation", 0.05),
             ((8, 8), "mixed", 0.15),
             (3, "cyclic_shift", 0.5),  # small enough to redraw constant images
+            ((13, 13), "cyclic_shift", 0.1),
+            ((16, 16), "mixed", 0.1),
         ],
     )
     def test_equals_retired_per_pair_loop_bitwise(self, geometry, family, density):
-        data = gen_dot_pairs(60, geometry, family=family, density=density, seed=8)
-        xs, ys, labels = reference_dot_pairs(60, geometry, family, density, 8)
+        # 300 pairs: the stack rotation runs more than one block
+        data = gen_dot_pairs(300, geometry, family=family, density=density, seed=8)
+        xs, ys, labels = reference_dot_pairs(300, geometry, family, density, 8)
         assert_bitwise_equal(data.xs, xs)
         assert_bitwise_equal(data.ys, ys)
         assert data.labels == labels
@@ -212,18 +226,38 @@ class TestDotPairs:
         with pytest.raises(DimensionError, match="at least 2 pixels"):
             gen_videos(5, geometry, 3, [("cyclic_shift", (1, 3))], density=0.5)
 
+    @pytest.mark.parametrize(
+        "geometry, density", [((13, 13), 1e-12), ((13, 13), 1 - 1e-12), (2, 4e-4)]
+    )
+    def test_improbable_draws_rejected_before_any_draw(
+        self, geometry, density, monkeypatch
+    ):
+        # a valid draw needs a dot and a blank pixel; at these densities that
+        # takes far more than MAX_DOT_DRAWS draws on average
+        def no_draw(*args):
+            raise AssertionError("drew dots")
+
+        monkeypatch.setattr(dataset, "_random_dots", no_draw)
+        with pytest.raises(DataError, match="draws on average"):
+            gen_dot_pairs(5, geometry, density=density)
+        with pytest.raises(DataError, match="draws on average"):
+            gen_videos(5, geometry, 3, [("cyclic_shift", (1, 3))], density=density)
+
+    def test_probable_draws_accepted(self):
+        # 2 pixels hold one dot with probability 2p(1 - p): 1.2e-3 at p = 6e-4
+        assert dataset.dot_image_dim(2, 6e-4) == 2
+        assert dataset.dot_image_dim((13, 13), 1e-4) == 169
+
     def test_constant_warped_image_raises(self, monkeypatch):
         # warps keep a draw's centered norm, so no real run gets here
-        apply_label = dataset._apply_label
-        calls = []
+        stack_warp = dataset._warp
 
-        def warp(raw, label, geometry):
-            calls.append(None)
-            if len(calls) == 2:  # the second pair's y comes back constant
-                return np.full_like(raw, 0.5)
-            return apply_label(raw, label, geometry)
+        def warp(rows, family, parameters, geometry):
+            warped = stack_warp(rows, family, parameters, geometry)
+            warped[1] = 0.5  # the second pair's y comes back constant
+            return warped
 
-        monkeypatch.setattr(dataset, "_apply_label", warp)
+        monkeypatch.setattr(dataset, "_warp", warp)
         with pytest.raises(DataError, match="row 1 is constant"):
             gen_dot_pairs(3, (8, 8), density=0.2, seed=1)
 
@@ -336,27 +370,33 @@ class TestVideos:
             (16, 5, [("cyclic_shift", (1, 5))]),
             ((13, 13), 6, [("rotation", (1, 6))]),
             ((9, 9), 6, [("rotation", (1, 3)), ("cyclic_shift", (4, 6))]),
+            # fig3's two variants at its geometry
+            ((13, 13), 10, [("cyclic_shift", (1, 10))]),
+            ((13, 13), 10, [("rotation", (1, 5)), ("cyclic_shift", (6, 10))]),
         ],
     )
     def test_equals_per_frame_reference_bitwise(self, geometry, n_frames, schedule):
-        videos = gen_videos(7, geometry, n_frames, schedule, density=0.2, seed=9)
-        clips, descriptors = reference_videos(7, geometry, n_frames, schedule, 0.2, 9)
+        # 300 clips: each frame's stack rotation runs more than one block
+        videos = gen_videos(300, geometry, n_frames, schedule, density=0.2, seed=9)
+        clips, descriptors = reference_videos(300, geometry, n_frames, schedule, 0.2, 9)
         assert_bitwise_equal(videos.clips, clips)
         assert videos.descriptors == descriptors
 
     def test_degenerate_frame_raises(self, monkeypatch):
         # warps keep a draw's centered norm, so no real run gets here
-        apply_label = dataset._apply_label
+        stack_warp = dataset._warp
         calls = []
 
-        def warp(raw, label, geometry):
+        def warp(rows, family, parameters, geometry):
             calls.append(None)
-            if len(calls) == 5:  # clip 1's second warp comes back constant
-                return np.full_like(raw, 0.5)
-            return apply_label(raw, label, geometry)
+            warped = stack_warp(rows, family, parameters, geometry)
+            if len(calls) == 2:  # clip 1's third frame comes back constant
+                warped[1] = 0.5
+            return warped
 
-        monkeypatch.setattr(dataset, "_apply_label", warp)
-        with pytest.raises(DataError, match="row 2 is constant"):
+        monkeypatch.setattr(dataset, "_warp", warp)
+        # each frame of all clips is normalized as one stack: row = clip
+        with pytest.raises(DataError, match="row 1 is constant"):
             gen_videos(4, (8, 8), 4, [("cyclic_shift", (1, 4))], density=0.2, seed=2)
 
 
@@ -376,7 +416,7 @@ def reference_videos(n_clips, geometry, n_frames, schedule, density, seed):
         for family, parameter, (first, last) in params:
             for t in range(first, last + 1):
                 if t > 1:
-                    current = dataset._apply_label(
+                    current = reference_apply_label(
                         current, dataset.WarpLabel(family, parameter), geometry
                     )
                 values, degenerate = reference_contrast_normalize(current.ravel())
@@ -501,6 +541,24 @@ class TestGlyphs:
                         digit, geometry, thickness, offset, scale, angle
                     )
                     assert np.array_equal(got, want), (digit, angle, jitter)
+
+    def test_low_contrast_glyphs_decided_exactly(self, monkeypatch):
+        # below a range of 1e-6 only the normalization can tell a constant glyph
+        flat = np.full((16, 16), 0.3)
+        flat[0, 0] += 1e-12  # degenerate: redrawn
+        faint = np.linspace(0.0, 1e-7, 256).reshape(16, 16)  # normalizes
+        render = dataset.render_glyph
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(None)
+            return [flat, faint][len(calls) - 1] if len(calls) <= 2 else render(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "render_glyph", fake)
+        glyphs = gen_rotated_glyphs(1, (16, 16), seed=3)
+        assert len(calls) == 11
+        expected = contrast_normalize(faint.ravel()).values
+        assert_bitwise_equal(glyphs.images[glyphs.labels == 0][0], expected)
 
     def test_generated_glyphs_equal_reference_loop_bitwise(self):
         glyphs = gen_rotated_glyphs(25, (16, 16), seed=7)

@@ -5,7 +5,9 @@ orderings) live in test_acceptance.py; these tests run tiny configurations
 and check wiring.
 """
 
+import importlib
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +383,14 @@ class TestFig4Smoke:
         header, rows = read_csv(tmp_path / "f4" / "accuracy.csv")
         assert header == ["train_size", "method", "accuracy"]
         assert len(rows) == 5
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench's tracer rebinds these names in a traced run and stops at
+    # the first one missing; read its list without writing bytecode there
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    tracer = importlib.import_module("tracer")
+    for module, attribute, _span in tracer.REBINDINGS:
+        assert hasattr(importlib.import_module(module), attribute), (module, attribute)

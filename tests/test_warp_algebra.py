@@ -20,6 +20,7 @@ from warpcode.warp_algebra import (
     make_translation_warp,
     polar_factor,
     rotate_image,
+    rotate_stack,
     shared_subspace_alignment,
     wrap_angle,
 )
@@ -168,6 +169,46 @@ class TestRotationWarp:
         for angle in angles:
             want = reference_rotate_image(img, angle)
             assert np.array_equal(rotate_image(img, angle), want), angle
+
+    # n on both sides of ROTATE_BLOCK (128) and of the stack size (about 100
+    # images) where an in-place complex product would start to round
+    # differently
+    @pytest.mark.parametrize("n", [1, 99, 100, 128, 129, 300])
+    @pytest.mark.parametrize("height, width", [(13, 13), (16, 16), (8, 12)])
+    def test_stack_equals_per_image_reference_bitwise(self, n, height, width):
+        rng = np.random.default_rng(n * height * width)
+        images = rng.standard_normal((n, height, width))
+        if height == width:
+            special = [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]
+            angles = rng.uniform(-np.pi, np.pi, size=n)
+        else:
+            special = [0.0, np.pi / 4, -np.pi / 4]
+            angles = rng.uniform(-np.pi / 4, np.pi / 4, size=n)
+        picks = rng.choice(n, size=min(n, 3 * len(special)), replace=False)
+        angles[picks] = np.resize(special, len(picks))
+        rotated = rotate_stack(images, angles)
+        for image, angle, got in zip(images, angles, rotated):
+            assert np.array_equal(got, reference_rotate_image(image, angle)), angle
+
+    def test_stack_needs_one_angle_per_image(self):
+        with pytest.raises(DimensionError):
+            rotate_stack(np.zeros((3, 9, 9)), [0.1, 0.2])
+        with pytest.raises(DimensionError):
+            rotate_stack(np.zeros((9, 9)), [0.1])
+
+    @pytest.mark.parametrize(
+        "height, width, angle",
+        [(13, 13, 0.7), (16, 16, -2.3), (9, 9, np.pi / 2), (8, 12, 0.4)],
+    )
+    def test_rotation_warp_equals_per_column_reference_bitwise(self, height, width, angle):
+        d = width * height
+        want = np.empty((d, d))
+        for j in range(d):
+            column = np.eye(d)[:, j].reshape(height, width)
+            want[:, j] = reference_rotate_image(column, angle).ravel()
+        warp = make_rotation_warp(width, height, angle)
+        assert np.array_equal(warp.entries, want)
+        assert warp.orthogonality_residual == WarpMatrix.from_entries(want).orthogonality_residual
 
     def test_small_patch_rejected(self):
         with pytest.raises(DimensionError):
