@@ -288,11 +288,12 @@ def image_codes(model: GatedModel, xs) -> np.ndarray:
     return pooled_products(model, xs, xs, model.within_pool)
 
 
-def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain):
+def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain, mirrored=False):
+    # mirrored: v is u and ys is xs, so fy is the product fx already holds
     batch = xs.shape[0]
     scale = 1.0 / batch
     fx = xs @ u
-    fy = ys @ v
+    fy = fx if mirrored else ys @ v
     h = fx * fy
     a = h @ p
     if gain != 1.0:
@@ -320,7 +321,7 @@ def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain):
         d_a *= gain
     d_h = d_a @ p.T
     d_fy = d_h * fx
-    d_fx += d_h * fy
+    d_fx += d_fy if mirrored else d_h * fy
     d_u = xs.T @ d_fx
     d_v += ys.T @ d_fy
     return loss, d_u, d_v, d_w
@@ -337,11 +338,13 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
     pass on the same filters and rows, so its result is that of the first
     pass: the loss and gradients are doubled instead of recomputed.  This
     is exact, since the two-pass sum ``(a + b) + (b + a)`` equals
-    ``2 (a + b)`` in floating point.
+    ``2 (a + b)`` in floating point.  That one pass computes ``xs U`` and
+    ``d_h * (xs U)`` once each, since both of its roles read the same
+    product, and doubles its gradients in place.
     """
     mirrored = symmetric and model.tied and ys is xs
     xs = _as_matrix(xs, model.dim_x, "x")
-    ys = _as_matrix(ys, model.dim_y, "y")
+    ys = xs if mirrored else _as_matrix(ys, model.dim_y, "y")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError("x and y batches differ in length")
     if xs.shape[0] == 0:
@@ -355,11 +358,13 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
         model.across_pool,
     )
     loss, d_u, d_v, d_w = _one_sided_loss_and_grads(
-        u, v, p, w, xs, ys, model.nonlinearity, model.gate_gain
+        u, v, p, w, xs, ys, model.nonlinearity, model.gate_gain, mirrored
     )
     if mirrored:
-        grads = {"input_filters": 2.0 * (d_u + d_v), "across_pool": 2.0 * d_w}
-        return 2.0 * loss, grads
+        d_u += d_v
+        d_u *= 2.0
+        d_w *= 2.0
+        return 2.0 * loss, {"input_filters": d_u, "across_pool": d_w}
     if symmetric:
         rev_loss, rev_dv, rev_du, rev_dw = _one_sided_loss_and_grads(
             v, u, p, w, ys, xs, model.nonlinearity, model.gate_gain
@@ -423,11 +428,32 @@ class TrainingTrace:
         return float(self.epoch_losses[-1])
 
 
+def _require_finite_rows(rows, name):
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise DataError(f"{name} row {row} holds non-finite values")
+
+
 def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     """Minibatch SGD with momentum and per-step filter renormalization.
 
     ``data`` is a PairDataset or any object with ``xs``/``ys`` row arrays
     (or a plain ``(xs, ys)`` tuple).  Deterministic given the config seed.
+    Rows with non-finite values, and a pair penalty on an odd factor
+    count, are rejected before the first step.
+
+    A step allocates no parameter-sized array beyond its gradients.  The
+    update runs in place: ``velocity *= momentum``, ``grad *=
+    learning_rate``, ``velocity -= grad``, ``param += velocity``; the pair
+    penalty is added into the gradient.  A filter bank is then renormalized
+    from its squares, written into the spent gradient buffer: column sums
+    by ``np.add.reduce``, ``np.sqrt``, ``param /= norms``.  Each in-place
+    form computes the same IEEE operations in the same order as the
+    expression it replaces (``momentum * velocity - learning_rate * grad``
+    and ``np.linalg.norm(param, axis=0)``), so the results are bit for bit
+    theirs.  The squares take the buffer only when it has the parameter's
+    memory layout, since the layout sets the order of the column sums.
     """
     if hasattr(data, "xs") and hasattr(data, "ys"):
         xs, ys = np.asarray(data.xs, float), np.asarray(data.ys, float)
@@ -437,6 +463,13 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
         raise DataError("empty training set")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
+    _require_finite_rows(xs, "xs")
+    if ys is not xs:
+        _require_finite_rows(ys, "ys")
+    if config.pair_decorrelation and model.n_factors % 2:
+        raise ModelConfigError(
+            f"pair_decorrelation needs an even factor count, got {model.n_factors}"
+        )
     rng = np.random.default_rng(config.seed)
     velocities = {}
     trace = []
@@ -453,24 +486,26 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
             if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise DivergenceError(epoch, loss)
             epoch_loss += loss * batch_idx.size
-            if config.pair_decorrelation:
-                for name in ("input_filters", "output_filters"):
-                    if name in grads:
-                        grads[name] = grads[name] + config.pair_decorrelation * (
-                            pair_decorrelation_gradient(getattr(model, name))
-                        )
             for name, grad in grads.items():
+                param = getattr(model, name)
+                filters = name != "across_pool"
+                if filters and config.pair_decorrelation:
+                    grad += config.pair_decorrelation * pair_decorrelation_gradient(param)
                 velocity = velocities.get(name)
                 if velocity is None:
-                    velocity = np.zeros_like(grad)
-                velocity = config.momentum * velocity - config.learning_rate * grad
-                velocities[name] = velocity
+                    velocity = velocities[name] = np.zeros_like(grad)
+                velocity *= config.momentum
+                grad *= config.learning_rate
+                velocity -= grad
                 if not velocity.any():
                     continue
-                param = getattr(model, name)
                 param += velocity
-                if name != "across_pool":
-                    param /= np.linalg.norm(param, axis=0, keepdims=True)
+                if filters:
+                    out = grad if grad.strides == param.strides else None
+                    norms = np.add.reduce(
+                        np.multiply(param, param, out=out), axis=0, keepdims=True
+                    )
+                    param /= np.sqrt(norms, out=norms)
         trace.append(epoch_loss / xs.shape[0])
     return TrainingTrace(np.array(trace))
 

@@ -155,6 +155,22 @@ def test_train_on_unpaired_rows_exits_2_with_one_line(tmp_path, capsys, n_ys):
     assert not (tmp_path / "o" / "checkpoint").exists()
 
 
+def test_pair_penalty_on_an_odd_factor_count_exits_2_with_one_line(tmp_path, capsys):
+    # fig2's pair_decorrelation=1 pairs factors 2k and 2k+1; identity pooling
+    # lets an odd count reach training, which must refuse it before any step
+    rows = np.random.default_rng(11).standard_normal((20, 9))
+    (tmp_path / "data").mkdir()
+    save_matrix(tmp_path / "data" / "xs.wmat", rows[:10])
+    save_matrix(tmp_path / "data" / "ys.wmat", rows[10:])
+    args = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o")]
+    options = ["--set", "pooling=identity", "--set", "n_factors=41", "--set", "epochs=1"]
+    assert main(args + options) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: pair_decorrelation needs an even")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "checkpoint").exists()
+
+
 @pytest.mark.parametrize(
     "command, missing",
     [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import warpcode.model
 from warpcode.dataset import gen_dot_pairs
 from warpcode.errors import (
     DataError,
@@ -17,6 +18,7 @@ from warpcode.errors import (
 )
 from warpcode.experiments import FIG2_DEFAULTS, fit_gated_model
 from warpcode.model import (
+    DIVERGENCE_LOSS,
     GatedModel,
     TrainConfig,
     TrainingTrace,
@@ -27,9 +29,11 @@ from warpcode.model import (
     infer_sequence,
     load_model,
     loss_and_gradient,
+    pair_decorrelation_gradient,
     reconstruct,
     save_model,
     train,
+    _one_sided_loss_and_grads,
 )
 from warpcode.patches import ImagePatch, contrast_normalize
 
@@ -92,6 +96,79 @@ def finite_difference_grad(model, xs, ys, param_name, step=1e-5, symmetric=False
 
 def relative_error(analytic, numeric):
     return np.abs(analytic - numeric).max() / (np.abs(numeric).max() + 1e-12)
+
+
+def reference_loss_and_gradient(model, xs, ys, symmetric):
+    """``loss_and_gradient`` with the mirrored pass as it was before that
+    pass shared its forward product and doubled its gradients in place."""
+    if not (symmetric and model.tied and ys is xs):
+        return loss_and_gradient(model, xs, ys, symmetric=symmetric)
+    u, p, w = model.input_filters, model.within_pool, model.across_pool
+    loss, d_u, d_v, d_w = _one_sided_loss_and_grads(
+        u, u, p, w, xs, xs, model.nonlinearity, model.gate_gain
+    )
+    return 2.0 * loss, {"input_filters": 2.0 * (d_u + d_v), "across_pool": 2.0 * d_w}
+
+
+def reference_train(model, data, config):
+    """``train``'s loop before its update ran in place: new velocity arrays,
+    a summed pair penalty and ``np.linalg.norm`` renormalization."""
+    xs, ys = data
+    rng = np.random.default_rng(config.seed)
+    velocities = {}
+    trace = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(xs.shape[0])
+        epoch_loss = 0.0
+        for start in range(0, xs.shape[0], config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            batch_xs = xs[batch_idx]
+            batch_ys = batch_xs if ys is xs else ys[batch_idx]
+            loss, grads = reference_loss_and_gradient(
+                model, batch_xs, batch_ys, config.symmetric
+            )
+            if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                raise DivergenceError(epoch, loss)
+            epoch_loss += loss * batch_idx.size
+            if config.pair_decorrelation:
+                for name in ("input_filters", "output_filters"):
+                    if name in grads:
+                        grads[name] = grads[name] + config.pair_decorrelation * (
+                            pair_decorrelation_gradient(getattr(model, name))
+                        )
+            for name, grad in grads.items():
+                velocity = velocities.get(name)
+                if velocity is None:
+                    velocity = np.zeros_like(grad)
+                velocity = config.momentum * velocity - config.learning_rate * grad
+                velocities[name] = velocity
+                if not velocity.any():
+                    continue
+                param = getattr(model, name)
+                param += velocity
+                if name != "across_pool":
+                    param /= np.linalg.norm(param, axis=0, keepdims=True)
+        trace.append(epoch_loss / xs.shape[0])
+    return TrainingTrace(np.array(trace))
+
+
+def model_parameters(model):
+    names = ["input_filters", "across_pool"] + ([] if model.tied else ["output_filters"])
+    return {name: getattr(model, name) for name in names}
+
+
+def assert_trains_like_reference(make_model, data, config):
+    """``train`` and ``reference_train`` on fresh models from ``make_model``
+    give equal epoch losses and parameter bits."""
+    results = []
+    for run in (reference_train, train):
+        model = make_model()
+        trace = run(model, data, config)
+        results.append((trace.epoch_losses, model_parameters(model)))
+    (ref_losses, ref_params), (losses, params) = results
+    np.testing.assert_array_equal(losses, ref_losses)
+    for name, value in ref_params.items():
+        np.testing.assert_array_equal(params[name], value)
 
 
 class TestInferMappings:
@@ -423,6 +500,87 @@ class TestTrain:
             results.append((trace.epoch_losses, model.input_filters, model.across_pool))
         for once, twice in zip(*results):
             np.testing.assert_array_equal(once, twice)
+
+    @pytest.mark.parametrize("same_rows", [True, False], ids=["ys_is_xs", "ys_copy"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "one_sided"])
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_equals_reference_train_bitwise(self, tied, symmetric, same_rows):
+        rng = np.random.default_rng(71)
+        xs, ys = shift_pairs(rng, 13, 60)
+        ys = xs if same_rows else (xs.copy() if tied else ys)
+        for pooling in ("band", "identity"):
+            for decorrelation in (0.0, 1.0):
+                for momentum, rate in ((0.9, 0.3), (0.0, 0.3), (0.9, 0.0)):
+                    config = TrainConfig(
+                        rate,
+                        3,
+                        7,
+                        seed=72,
+                        momentum=momentum,
+                        symmetric=symmetric,
+                        pair_decorrelation=decorrelation,
+                    )
+                    assert_trains_like_reference(
+                        lambda: GatedModel.initialize(
+                            13, 13, 8, 3, pooling=pooling, tied=tied, seed=73, gate_gain=13.0
+                        ),
+                        (xs, ys),
+                        config,
+                    )
+
+    def test_column_major_filters_equal_reference_train_bitwise(self):
+        # the renormalization's column sums follow the filters' memory layout
+        rng = np.random.default_rng(74)
+        xs, ys = shift_pairs(rng, 13, 60)
+        config = TrainConfig(0.3, 2, 10, seed=75, symmetric=True, pair_decorrelation=1.0)
+
+        def column_major_model():
+            model = GatedModel.initialize(13, 13, 8, 3, seed=76, gate_gain=13.0)
+            model.input_filters = np.asfortranarray(model.input_filters)
+            model.output_filters = np.asfortranarray(model.output_filters)
+            return model
+
+        assert_trains_like_reference(column_major_model, (xs, ys), config)
+
+    def test_one_kernel_call_per_step(self, monkeypatch):
+        # perfbench's model.step_us and model.update_share divide by these calls
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loss_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(warpcode.model, "loss_and_gradient", counted)
+        rng = np.random.default_rng(77)
+        xs, ys = shift_pairs(rng, 13, 60)
+        model = GatedModel.initialize(13, 13, 8, 3, tied=True, seed=78)
+        train(model, (xs, xs), TrainConfig(0.3, 3, 7, symmetric=True, pair_decorrelation=1.0))
+        assert len(calls) == 3 * 9
+
+    def test_pair_penalty_on_an_odd_factor_count_rejected_before_the_first_step(self):
+        rng = np.random.default_rng(79)
+        xs, ys = shift_pairs(rng, 13, 20)
+        model = GatedModel.initialize(13, 13, 41, 4, pooling="identity", seed=80)
+        before = {name: value.copy() for name, value in model_parameters(model).items()}
+        config = TrainConfig(0.3, 1, 10, symmetric=True, pair_decorrelation=1.0)
+        with pytest.raises(ModelConfigError, match="even factor count, got 41"):
+            train(model, (xs, ys), config)
+        for name, value in model_parameters(model).items():
+            np.testing.assert_array_equal(value, before[name])
+        # without the penalty an odd count trains
+        train(model, (xs, ys), TrainConfig(0.3, 1, 10, symmetric=True))
+
+    @pytest.mark.parametrize("bad", ["xs", "ys"])
+    def test_non_finite_row_rejected_before_the_first_step(self, bad):
+        rng = np.random.default_rng(81)
+        xs, ys = shift_pairs(rng, 13, 100)
+        {"xs": xs, "ys": ys}[bad][99, 4] = np.nan
+        model = GatedModel.initialize(13, 13, 12, 6, seed=82)
+        before = {name: value.copy() for name, value in model_parameters(model).items()}
+        with pytest.raises(DataError, match=f"{bad} row 99 holds non-finite"):
+            train(model, (xs, ys), TrainConfig(0.3, 1, 10, seed=83))
+        for name, value in model_parameters(model).items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_shift_training_halves_the_loss(self):
         # Recorded desk-scale run: final/initial ~ 0.2 at these settings.
