@@ -86,25 +86,28 @@ def _phase_residuals(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Least-squares residuals (k, t) of the per-frame rotation model for a
     stack (k, n_frames, m) of sequences at t angles ``thetas`` (k, t) each.
 
-    Model: frames[s] = cos(theta s) c - sin(theta s) d, with the base pair
-    (c, d) solved exactly for each theta; where the sine design degenerates
-    (theta near 0 or pi) d is pinned to zero.  Sums run along trailing axes
-    only, so a member's residuals do not depend on the rest of the stack.
+    Model: frames[s] = cos(theta s) c + U_{s-1}(cos theta) d, the base pair
+    (c, d) solved exactly for each theta.  U_{s-1}(cos theta) = sin(theta s)
+    / sin(theta) spans the sine column's direction and tends to s and
+    s (-1)^(s-1) at 0 and pi, so the system has full rank at every angle and
+    the residual is continuous.  It is the sum of 2 cos(theta k) over k =
+    s-1, s-3, ... (1 at k = 0).  Sums run along trailing axes only, so a
+    member's residuals do not depend on the rest of the stack.
     """
-    phases = thetas[:, :, None] * np.arange(frames.shape[1])
-    cos_s = np.cos(phases)
-    sin_s = np.sin(phases)
+    steps = np.arange(frames.shape[1])
+    lag = steps - 1 - steps[:, None]
+    chebyshev = ((lag >= 0) & (lag % 2 == 0)) * (2.0 - (steps[:, None] == 0))
+    cos_s = np.cos(thetas[:, :, None] * steps)
+    cheb_s = cos_s @ chebyshev
     scc = (cos_s * cos_s).sum(axis=2)[..., None]
-    sss = (sin_s * sin_s).sum(axis=2)[..., None]
-    scs = (cos_s * sin_s).sum(axis=2)[..., None]
+    suu = (cheb_s * cheb_s).sum(axis=2)[..., None]
+    scu = (cos_s * cheb_s).sum(axis=2)[..., None]
     rhs_c = cos_s @ frames
-    rhs_d = -(sin_s @ frames)
-    det = scc * sss - scs * scs
-    pinned = (det < 1e-12) | (sss < 1e-12)
-    det = np.where(pinned, 1.0, det)
-    c = np.where(pinned, rhs_c / scc, (sss * rhs_c + scs * rhs_d) / det)
-    d = np.where(pinned, 0.0, (scc * rhs_d + scs * rhs_c) / det)
-    modeled = cos_s[..., None] * c[:, :, None] - sin_s[..., None] * d[:, :, None]
+    rhs_u = cheb_s @ frames
+    det = scc * suu - scu * scu
+    c = (suu * rhs_c - scu * rhs_u) / det
+    d = (scc * rhs_u - scu * rhs_c) / det
+    modeled = cos_s[..., None] * c[:, :, None] + cheb_s[..., None] * d[:, :, None]
     return np.sum((frames[:, None] - modeled) ** 2, axis=(2, 3))
 
 
@@ -134,6 +137,8 @@ def eigenmovie_consistency(filter_frames):
         raise DimensionError("filter sequence must be (n_frames, dim) or a stack")
     if frames.shape[1] < 3:
         raise DimensionError("consistency fit needs at least 3 frames")
+    if not np.isfinite(frames).all():
+        raise DataError("filter sequence holds non-finite values")
     total = np.sum(frames * frames, axis=(1, 2))
     if (total < 1e-24).any():
         raise DataError("all-zero filter sequence")

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionError,
     MissingComponentError,
     NormalizationError,
@@ -67,17 +68,6 @@ def project(block: SubspaceBlock, x) -> tuple:
     return float(block.basis_real @ values), float(block.basis_imag @ values)
 
 
-def rotated_filter_pair(block: SubspaceBlock, theta: float) -> tuple:
-    """The block's basis pair rotated by ``theta`` within the subspace."""
-    c, s = np.cos(theta), np.sin(theta)
-    if block.basis_imag is None:
-        return c * block.basis_real, None
-    return (
-        c * block.basis_real - s * block.basis_imag,
-        s * block.basis_real + c * block.basis_imag,
-    )
-
-
 def subspace_angle_cos(
     block: SubspaceBlock, x, y, aperture_floor: float = DEFAULT_APERTURE_FLOOR
 ) -> Optional[float]:
@@ -116,8 +106,7 @@ def energy_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
     _require_normalized(x, y)
     xv = _patch_values(x, block.basis_real.size)
     yv = _patch_values(y, block.basis_real.size)
-    rotated = rotated_filter_pair(block, theta)
-    terms = zip(block.basis, rotated)
+    terms = zip(block.basis, block.rotated_basis(theta))
     return float(sum(((plain @ yv) + (rot @ xv)) ** 2 for plain, rot in terms))
 
 
@@ -128,9 +117,11 @@ def sequence_detector_response(
 
     Frame ``s`` is filtered by the basis pair rotated by ``-theta * s`` (the
     conjugate phase), so the response peaks, at ``T^2 * |p_0|^2``, exactly
-    when every frame's in-block coordinates advance by theta per step.  With
-    two frames this reduces to ``energy_detector_response(block, theta,
-    x=frames[0], y=frames[1])``.
+    when every frame's in-block coordinates advance by theta per step.  On a
+    2-D block, two frames give ``energy_detector_response(block, theta,
+    x=frames[0], y=frames[1])``.  On a 1-D block the two read ``(p_x +
+    cos(theta) p_y)^2`` and ``(cos(theta) p_x + p_y)^2``, which agree at
+    theta 0 and pi but not in general.
 
     With ``return_parts`` the response is split as ``(total, quadratic,
     cross)`` where ``quadratic`` collects the per-frame squared projections.
@@ -143,9 +134,8 @@ def sequence_detector_response(
     quadratic = 0.0
     for s, frame in enumerate(frames):
         values = _patch_values(frame, dim)
-        rotated = rotated_filter_pair(block, -theta * s)
-        for k in range(block.block_dim):
-            term = rotated[k] @ values
+        for k, rotated in enumerate(block.rotated_basis(-theta * s)):
+            term = rotated @ values
             sums[k] += term
             quadratic += term * term
     total = float(sum(part * part for part in sums))
@@ -204,17 +194,12 @@ class DetectorResponse:
 
 def _validate_shared_subspaces(decompositions, tol=1e-6):
     reference = decompositions[0]
-    projectors = [b.projector() for b in reference.blocks]
     worst = 0.0
     for other in decompositions[1:]:
         if other.dim != reference.dim:
             raise DimensionError("warp family members have different dimensions")
-        for block in other.blocks:
-            for vec in block.basis:
-                best = min(
-                    float(np.linalg.norm(vec - proj @ vec)) for proj in projectors
-                )
-                worst = max(worst, best)
+        for vec in other.basis_matrix().T:
+            worst = max(worst, min(block.leakage(vec) for block in reference.blocks))
     if worst > tol:
         raise SharedSubspaceError(worst)
 
@@ -270,7 +255,7 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
     input_cols, output_cols, factor_detector = [], [], []
     for detector, theta in enumerate(detector_angle):
         block = blocks[detector_block[detector]]
-        input_cols.extend(rotated_filter_pair(block, theta)[: block.block_dim])
+        input_cols.extend(block.rotated_basis(theta))
         output_cols.extend(block.basis)
         factor_detector.extend([detector] * block.block_dim)
     within = np.zeros((detector_angle.size, len(input_cols)))
@@ -310,6 +295,8 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape[1] != bank.dim or ys.shape[1] != bank.dim:
         raise DimensionError("input rows do not match the bank dimension")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DataError("input rows hold non-finite values")
     per_detector = pooled_products(bank, xs, ys, bank.within_pool.T)
     pooled = per_detector @ bank.across_pool
     return per_detector, pooled

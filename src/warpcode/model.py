@@ -454,6 +454,7 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     and ``np.linalg.norm(param, axis=0)``), so the results are bit for bit
     theirs.  The squares take the buffer only when it has the parameter's
     memory layout, since the layout sets the order of the column sums.
+    At ``learning_rate`` 0 the steps only compute the loss.
     """
     if hasattr(data, "xs") and hasattr(data, "ys"):
         xs, ys = np.asarray(data.xs, float), np.asarray(data.ys, float)
@@ -486,6 +487,8 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
             if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise DivergenceError(epoch, loss)
             epoch_loss += loss * batch_idx.size
+            if not config.learning_rate:
+                continue
             for name, grad in grads.items():
                 param = getattr(model, name)
                 filters = name != "across_pool"
@@ -497,8 +500,6 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
                 velocity *= config.momentum
                 grad *= config.learning_rate
                 velocity -= grad
-                if not velocity.any():
-                    continue
                 param += velocity
                 if filters:
                     out = grad if grad.strides == param.strides else None

@@ -283,15 +283,27 @@ class SubspaceBlock:
         """Orthogonal projector onto the block's subspace."""
         return sum(np.outer(vec, vec) for vec in self.basis)
 
+    def rotated_basis(self, theta: float) -> tuple:
+        """The basis rotated by ``theta`` in the subspace, ``(c b_r - s b_i,
+        s b_r + c b_i)`` or ``(c b_r,)``; at ``-angle``, the warp's image."""
+        c, s = np.cos(theta), np.sin(theta)
+        if self.basis_imag is None:
+            # not c b_r - s 0, which flips the sign of -0 entries at -pi
+            return (c * self.basis_real,)
+        return (
+            c * self.basis_real - s * self.basis_imag,
+            s * self.basis_real + c * self.basis_imag,
+        )
+
+    def leakage(self, vector) -> float:
+        """``|v - sum_k b_k (b_k . v)|``, the part of ``vector`` outside the
+        block; not ``sqrt(|v|^2 - |B^T v|^2)``, which cancels to about 1e-8."""
+        residual = vector - sum(vec * (vec @ vector) for vec in self.basis)
+        return float(np.linalg.norm(residual))
+
     def rotation(self) -> np.ndarray:
         """The warp's action restricted to this block, as a dense matrix."""
-        if self.basis_imag is None:
-            sign = 1.0 if abs(self.angle) < np.pi / 2 else -1.0
-            return sign * np.outer(self.basis_real, self.basis_real)
-        basis = np.stack([self.basis_real, self.basis_imag], axis=1)
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        plane = np.array([[c, -s], [s, c]])
-        return basis @ plane @ basis.T
+        return np.stack(self.rotated_basis(-self.angle), axis=1) @ np.stack(self.basis)
 
 
 @dataclass(frozen=True)
@@ -335,11 +347,10 @@ class SubspaceDecomposition:
         return np.array([b.angle for b in self.blocks])
 
     def assemble(self) -> np.ndarray:
-        """Reassemble the warp from its blocks."""
-        out = np.zeros((self.dim, self.dim))
-        for b in self.blocks:
-            out += b.rotation()
-        return out
+        """Reassemble the warp from its blocks: the images of all basis
+        vectors, as columns, times the basis transposed."""
+        images = [vec for b in self.blocks for vec in b.rotated_basis(-b.angle)]
+        return np.stack(images, axis=1) @ self.basis_matrix().T
 
 
 def _blocks_from_schur(entries: np.ndarray) -> list:
@@ -449,15 +460,7 @@ def shared_subspace_alignment(a: WarpMatrix, b: WarpMatrix) -> AlignmentReport:
                 f"alignment requires orthogonal warps "
                 f"(residual {warp.orthogonality_residual:.3g})"
             )
-    decomposition = decompose(a)
-    leakages = []
-    for block in decomposition.two_dimensional_blocks():
-        proj = block.projector()
-        worst = 0.0
-        for vec in block.basis:
-            moved = b.entries @ vec
-            worst = max(worst, float(np.linalg.norm(moved - proj @ moved)))
-        leakages.append(worst)
-    leakages = np.array(leakages) if leakages else np.zeros(0)
+    blocks = decompose(a).two_dimensional_blocks()
+    leakages = np.array([max(k.leakage(b.entries @ v) for v in k.basis) for k in blocks])
     max_leak = float(leakages.max()) if leakages.size else 0.0
     return AlignmentReport(leakages, max_leak)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpcode.analysis import (
+    _phase_residuals,
     eigenmovie_consistency,
     export_filter_grid,
     invariance_ratio,
@@ -133,6 +134,22 @@ class TestEigenmovieConsistency:
         with pytest.raises(DataError):
             eigenmovie_consistency(np.zeros((4, 10)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        frames = np.random.default_rng(14).standard_normal((6, 20))
+        frames[3, 7] = bad
+        with pytest.raises(DataError):
+            eigenmovie_consistency(frames)
+
+    @pytest.mark.parametrize("edge, near", [(0.0, 1e-6), (np.pi, np.pi - 1e-6)])
+    def test_residual_is_continuous_at_zero_and_pi(self, edge, near):
+        # the model's limit at 0 and pi is the model there: no pinned branch
+        rng = np.random.default_rng(15)
+        for n_frames, dim in ((6, 30), (10, 169)):
+            frames = rng.standard_normal((1, n_frames, dim))
+            at_edge, at_near = _phase_residuals(frames, np.array([[edge, near]]))[0]
+            assert at_edge == pytest.approx(at_near, rel=1e-6)
+
     @pytest.mark.parametrize("n_frames", [6, 10])
     @pytest.mark.parametrize("dim", [30, 169, 1690])
     def test_matches_scalar_reference_on_noise(self, n_frames, dim):
@@ -143,7 +160,7 @@ class TestEigenmovieConsistency:
 
     @pytest.mark.parametrize("theta", [0.83, 1e-5, 1e-3, np.pi - 1e-3, np.pi - 1e-5])
     def test_matches_scalar_reference_on_rotations(self, theta):
-        # angles near 0 and pi exercise the pinned-sine branch
+        # near 0 and pi the sine column vanishes and the Chebyshev one does not
         rng = np.random.default_rng(13)
         base = random_pair(rng, dim=169)
         frames = np.stack(
@@ -198,23 +215,25 @@ class TestStackedEigenmovieConsistency:
 
 def reference_eigenmovie_consistency(frames):
     """The fit as a scalar loop over angles on the full frames: one base-pair
-    solve per angle, a 361-point grid, then 60 golden-section steps."""
+    solve per angle for frames[s] = cos(theta s) c + U_{s-1}(cos theta) d,
+    with the Chebyshev column U from its recurrence U_{-1} = 0, U_0 = 1,
+    U_{k+1} = 2 cos(theta) U_k - U_{k-1}; a 361-point grid, then 60
+    golden-section steps."""
     steps = np.arange(frames.shape[0])
 
     def residual(theta):
         cos_s = np.cos(theta * steps)
-        sin_s = np.sin(theta * steps)
-        scc, sss, scs = cos_s @ cos_s, sin_s @ sin_s, cos_s @ sin_s
+        cheb = [0.0, 1.0]
+        while len(cheb) < steps.size:
+            cheb.append(2.0 * np.cos(theta) * cheb[-1] - cheb[-2])
+        cheb_s = np.array(cheb[: steps.size])
+        scc, suu, scu = cos_s @ cos_s, cheb_s @ cheb_s, cos_s @ cheb_s
         rhs_c = cos_s @ frames
-        rhs_d = -(sin_s @ frames)
-        det = scc * sss - scs * scs
-        if det < 1e-12 or sss < 1e-12:
-            c = rhs_c / max(scc, 1e-12)
-            d = np.zeros_like(c)
-        else:
-            c = (sss * rhs_c + scs * rhs_d) / det
-            d = (scc * rhs_d + scs * rhs_c) / det
-        modeled = np.outer(cos_s, c) - np.outer(sin_s, d)
+        rhs_u = cheb_s @ frames
+        det = scc * suu - scu * scu
+        c = (suu * rhs_c - scu * rhs_u) / det
+        d = (scc * rhs_u - scu * rhs_c) / det
+        modeled = np.outer(cos_s, c) + np.outer(cheb_s, d)
         return float(np.sum((frames - modeled) ** 2))
 
     grid = np.linspace(0.0, np.pi, 361)

@@ -16,6 +16,7 @@ from warpcode.detector import (
     subspace_angle_cos,
 )
 from warpcode.errors import (
+    DataError,
     DimensionError,
     MissingComponentError,
     NormalizationError,
@@ -246,6 +247,20 @@ class TestSequenceDetector:
             pair = energy_detector_response(blk, theta, x, y)
             assert seq == pytest.approx(pair, abs=1e-12)
 
+    def test_two_frames_on_a_one_dimensional_block(self, shift16):
+        # the two agree at 0 and pi only: frame 1 is filtered by cos(theta)
+        # b_r, where the energy form filters x by it
+        blk = next(b for b in shift16.blocks if b.angle == np.pi)  # alternating
+        rng = np.random.default_rng(24)
+        x, y = random_normalized(rng), random_normalized(rng)
+        px, py = blk.basis_real @ x.values, blk.basis_real @ y.values
+        for theta in (0.0, 0.7, np.pi):
+            seq = sequence_detector_response(blk, theta, [x, y])
+            pair = energy_detector_response(blk, theta, x, y)
+            assert seq == pytest.approx((px + np.cos(theta) * py) ** 2, abs=1e-12)
+            assert pair == pytest.approx((np.cos(theta) * px + py) ** 2, abs=1e-12)
+            assert (seq == pytest.approx(pair, abs=1e-12)) == (theta != 0.7)
+
     def test_zero_frames_give_zero(self, block):
         frames = [zero_patch(16) for _ in range(4)]
         assert sequence_detector_response(block, 0.3, frames) == 0.0
@@ -286,6 +301,37 @@ class TestSequenceDetector:
     def test_needs_at_least_two_frames(self, block):
         with pytest.raises(DimensionError):
             sequence_detector_response(block, 0.1, [zero_patch(16)])
+
+
+def assert_bank_matches_per_detector_loop(bank):
+    """The bank's filters and within pooling, byte for byte those of a loop
+    over detectors: x filters (c b_r - s b_i, s b_r + c b_i), or c b_r on a
+    1-D block, y filters the plain basis, one pooling row per detector."""
+    inputs, outputs, owner = [], [], []
+    for detector, (index, theta) in enumerate(
+        zip(bank.detector_block, bank.detector_angle)
+    ):
+        blk = bank.blocks[index]
+        c, s = np.cos(theta), np.sin(theta)
+        if blk.basis_imag is None:
+            inputs.append(c * blk.basis_real)
+            outputs.append(blk.basis_real)
+        else:
+            inputs += [
+                c * blk.basis_real - s * blk.basis_imag,
+                s * blk.basis_real + c * blk.basis_imag,
+            ]
+            outputs += [blk.basis_real, blk.basis_imag]
+        owner += [detector] * (len(inputs) - len(owner))
+    within = np.zeros((bank.n_detectors, len(inputs)))
+    within[owner, np.arange(len(inputs))] = 1.0
+    for got, expected in (
+        (bank.input_filters, np.stack(inputs, axis=1)),
+        (bank.output_filters, np.stack(outputs, axis=1)),
+        (bank.within_pool, within),
+    ):
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestDetectorBank:
@@ -345,6 +391,30 @@ class TestDetectorBank:
                 winner = angles[int(np.argmax(response.per_detector[mask]))]
                 expected = wrap_angle(s * blk.angle)
                 assert abs(wrap_angle(winner - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 32, 33])
+    def test_shift_bank_equals_the_per_detector_loop_bitwise(self, dim):
+        assert_bank_matches_per_detector_loop(build_shift_bank(dim))
+
+    def test_identity_bank_equals_the_per_detector_loop_bitwise(self):
+        # 1-D blocks at -pi and pi: c b_r, whose -0 entries keep their sign
+        decomposition = decompose(WarpMatrix.from_entries(np.eye(6)))
+        grid = [0.0, np.pi / 3, -np.pi, np.pi]
+        bank = build_bank_from_warp_family([decomposition], grid)
+        expected_angles = np.tile([0.0, -np.pi, np.pi], 6)
+        np.testing.assert_array_equal(bank.detector_angle, expected_angles)
+        assert_bank_matches_per_detector_loop(bank)
+
+    def test_non_finite_rows_rejected(self, shift16):
+        bank = build_bank_from_warp_family([shift16], [0.0, np.pi / 2])
+        xs = normalize_rows(np.random.default_rng(62).standard_normal((3, 16)))[0]
+        for bad in (np.nan, np.inf):
+            ys = xs.copy()
+            ys[1, 4] = bad
+            with pytest.raises(DataError):
+                batch_pooled_responses(bank, xs, ys)
+            with pytest.raises(DataError):
+                batch_pooled_responses(bank, ys, xs)
 
     def test_empty_grid_rejected(self, shift16):
         with pytest.raises(ValueError):

@@ -459,20 +459,24 @@ class TestInferSequence:
 
 class TestTrain:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
+        # every parameter, bit for bit, on each model layout
         rng = np.random.default_rng(41)
         xs, ys = shift_pairs(rng, 13, 50)
-        model = GatedModel.initialize(13, 13, 10, 4, seed=9)
-        before = (
-            model.input_filters.copy(),
-            model.output_filters.copy(),
-            model.across_pool.copy(),
-        )
-        trace = train(model, (xs, ys), TrainConfig(0.0, 5, 10, seed=1))
-        np.testing.assert_array_equal(model.input_filters, before[0])
-        np.testing.assert_array_equal(model.output_filters, before[1])
-        np.testing.assert_array_equal(model.across_pool, before[2])
-        # flat trace up to batch-order float summation
-        assert np.ptp(trace.epoch_losses) <= 1e-14
+        names = ("input_filters", "output_filters", "within_pool", "across_pool")
+        config = TrainConfig(0.0, 5, 10, seed=1, symmetric=True, pair_decorrelation=1.0)
+        for tied in (False, True):
+            for pooling in ("band", "identity"):
+                model = GatedModel.initialize(
+                    13, 13, 10, 4, pooling=pooling, tied=tied, seed=9
+                )
+                before = [getattr(model, name).copy() for name in names]
+                trace = train(model, (xs, xs if tied else ys), config)
+                for name, old in zip(names, before):
+                    np.testing.assert_array_equal(
+                        getattr(model, name).view(np.uint64), old.view(np.uint64)
+                    )
+                # flat trace up to batch-order float summation
+                assert np.ptp(trace.epoch_losses) <= 1e-14
 
     def test_same_seed_gives_bit_identical_runs(self):
         rng = np.random.default_rng(43)

@@ -317,6 +317,57 @@ class TestDecompose:
             assert abs(best.angle - expected) <= 1e-8
 
 
+def reference_block_rotation(block):
+    """A block's dense rotation as an outer-product sum: sign(cos angle)
+    b_r b_r^T on a 1-D block, B R(angle) B^T on a 2-D one."""
+    if block.basis_imag is None:
+        sign = 1.0 if abs(block.angle) < np.pi / 2 else -1.0
+        return sign * np.outer(block.basis_real, block.basis_real)
+    basis = np.stack([block.basis_real, block.basis_imag], axis=1)
+    c, s = np.cos(block.angle), np.sin(block.angle)
+    return basis @ np.array([[c, -s], [s, c]]) @ basis.T
+
+
+SUBSPACE_WARPS = [
+    make_cyclic_shift(16, 3),
+    make_cyclic_shift(9, 4),
+    make_rotation_warp(7, 7, 0.41),
+    make_translation_warp(5, 4, 2, 1),
+    WarpMatrix.from_entries(np.eye(6)),
+    WarpMatrix.from_entries(np.eye(8)[::-1]),
+]
+
+
+class TestSubspaceBlock:
+    @pytest.mark.parametrize("warp", SUBSPACE_WARPS)
+    def test_rotation_and_assemble_match_the_outer_product_sum(self, warp):
+        decomposition = decompose(warp)
+        total = np.zeros((warp.dim, warp.dim))
+        for block in decomposition.blocks:
+            expected = reference_block_rotation(block)
+            np.testing.assert_allclose(block.rotation(), expected, rtol=0, atol=1e-14)
+            total += expected
+        np.testing.assert_allclose(decomposition.assemble(), total, rtol=0, atol=1e-14)
+
+    def test_rotated_basis_by_minus_angle_is_the_warp_image(self):
+        warp = make_cyclic_shift(16, 3)
+        for block in decompose(warp).blocks:
+            images = block.rotated_basis(-block.angle)
+            assert len(images) == block.block_dim
+            for image, vec in zip(images, block.basis):
+                np.testing.assert_allclose(image, warp.entries @ vec, atol=1e-12)
+
+    @pytest.mark.parametrize("warp", SUBSPACE_WARPS)
+    def test_leakage_matches_the_projector_form(self, warp):
+        rng = np.random.default_rng(31)
+        for block in decompose(warp).blocks:
+            inside = sum(rng.standard_normal() * vec for vec in block.basis)
+            assert block.leakage(inside) <= 1e-12
+            for vector in rng.standard_normal((5, warp.dim)):
+                expected = np.linalg.norm(vector - block.projector() @ vector)
+                assert block.leakage(vector) == pytest.approx(expected, abs=1e-12)
+
+
 class TestDecomposeApprox:
     def test_orthogonal_input_matches_exact_path(self):
         warp = make_cyclic_shift(12, 5)
