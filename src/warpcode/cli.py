@@ -177,7 +177,13 @@ def _cmd_analyze(args):
                 for d in range(bank.n_detectors)
             ],
         )
-        export_filter_grid(bank.input_filters.T, geometry, out / "bank_filters.pgm")
+        # one tile per x filter of each detector, its block's rotated basis
+        tiles = [
+            vec
+            for index, theta in zip(bank.detector_block, bank.detector_angle)
+            for vec in bank.blocks[index].rotated_basis(theta)
+        ]
+        export_filter_grid(tiles, geometry, out / "bank_filters.pgm")
         print(f"bank with {bank.n_detectors} detectors; reports in {out}")
         return 0
     report = score_filter_bank_pairs(

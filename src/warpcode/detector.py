@@ -4,9 +4,12 @@ Each detector lives on one invariant subspace of a warp family and has a
 preferred rotation angle theta.  Its response to a contrast-normalized pair
 ``(x, y)`` equals ``|p_x| * |p_y| * cos(phi_y - phi_x - theta)`` where
 ``p_x, p_y`` are the in-block projections: maximal exactly when ``y``'s
-projection is ``x``'s rotated by theta.  Banks stack the rotated/plain
-filters of many detectors into matrices, pool the per-detector products
-within subspaces (band map ``P``) and across subspaces (map ``W``).
+projection is ``x``'s rotated by theta.  That response is ``cos(theta)
+(p_x . p_y) + sin(theta) (p_x x p_y)``, a fixed mix of two quadrature
+quantities of the block, so the detectors are steerable (Freeman & Adelson
+1991): a bank computes the four products behind those two quantities once
+per subspace, mixes them into every detector's response (band map ``P``)
+and pools the responses across subspaces (map ``W``).
 """
 
 from dataclasses import dataclass, replace
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import (
     DataError,
     DimensionError,
+    FormatError,
     MissingComponentError,
     NormalizationError,
     SharedSubspaceError,
@@ -150,12 +154,15 @@ def sequence_detector_response(
 
 @dataclass(frozen=True)
 class DetectorBank:
-    """Stacked filters for every (subspace, preferred angle) detector.
+    """The steered filters of every (subspace, preferred angle) detector.
 
-    ``input_filters`` holds the rotated filters applied to x, one or two
-    columns per detector; ``output_filters`` the plain filters applied to y.
-    ``within_pool`` (one row per detector) sums each detector's factor
-    products; ``across_pool`` maps detector responses to pooled outputs.
+    ``input_filters`` (applied to x) and ``output_filters`` (applied to y)
+    hold one column per factor, four per 2-D block, ``(b_r, b_i, b_r, b_i)``
+    and ``(b_r, b_i, b_i, b_r)``, and one per 1-D block, ``b_r`` on both
+    sides.  ``within_pool`` (one row per detector) mixes its block's factor
+    products with ``(cos, cos, sin, -sin)`` of its angle, or ``cos`` on a 1-D
+    block; ``across_pool`` maps detector responses to pooled outputs.  A
+    detector's own rotated filters are ``block.rotated_basis(angle)``.
     """
 
     blocks: tuple
@@ -220,7 +227,7 @@ def build_bank_from_warp_family(
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("empty warp family")
-    theta_grid = [float(t) for t in theta_grid]
+    theta_grid = _finite_angles(theta_grid).tolist()
     if not theta_grid:
         raise ValueError("empty preferred-angle grid")
     _validate_shared_subspaces(decompositions)
@@ -229,10 +236,7 @@ def build_bank_from_warp_family(
     det_block, det_angle, det_grid_index = [], [], []
     for block_index, block in enumerate(blocks):
         for grid_index, theta in enumerate(theta_grid):
-            if block.basis_imag is None and not (
-                abs(wrap_angle(theta)) <= ANGLE_MATCH_TOL
-                or abs(abs(wrap_angle(theta)) - np.pi) <= ANGLE_MATCH_TOL
-            ):
+            if block.basis_imag is None and not _on_real_axis(theta):
                 continue
             det_block.append(block_index)
             det_angle.append(theta)
@@ -243,23 +247,48 @@ def build_bank_from_warp_family(
     return _assemble_bank(blocks, det_block, det_angle, across_pool)
 
 
-def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
-    """The bank of the detectors (block index, preferred angle) on ``blocks``.
+def _finite_angles(angles) -> np.ndarray:
+    """``angles`` as a float array; DataError if any is NaN or infinite, which
+    would turn a pooled code into NaN and its argmax into a silent answer."""
+    angles = np.array(angles, dtype=np.float64)
+    if not np.isfinite(angles).all():
+        raise DataError("preferred angles hold non-finite values")
+    return angles
 
-    Each detector reads x through its block's basis pair rotated by its
-    angle and y through the plain pair (one column each for a 1-D block);
-    its row of the within pooling sums those factor products.
+
+def _on_real_axis(theta) -> bool:
+    """Whether ``theta`` is 0 or pi, the only angles a 1-D block turns by."""
+    wrapped = abs(wrap_angle(theta))
+    return wrapped <= ANGLE_MATCH_TOL or abs(wrapped - np.pi) <= ANGLE_MATCH_TOL
+
+
+def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
+    """The steered bank of the detectors (block index, preferred angle) on
+    ``blocks``.
+
+    A 2-D block's four factor products are ``x_r y_r, x_i y_i, x_r y_i,
+    x_i y_r`` (``x_r = b_r . x``), so the row ``(c, c, s, -s)`` gives ``c
+    (p_x . p_y) + s (p_x x p_y)``, the response of x's basis pair rotated
+    by theta against y's plain pair; a 1-D block's one product gets ``c``.
     """
     detector_block = np.asarray(detector_block, dtype=np.intp)
-    detector_angle = np.array(detector_angle, dtype=np.float64)
-    input_cols, output_cols, factor_detector = [], [], []
-    for detector, theta in enumerate(detector_angle):
-        block = blocks[detector_block[detector]]
-        input_cols.extend(block.rotated_basis(theta))
-        output_cols.extend(block.basis)
-        factor_detector.extend([detector] * block.block_dim)
+    detector_angle = _finite_angles(detector_angle)
+    input_cols, output_cols, first_factor = [], [], []
+    for block in blocks:
+        first_factor.append(len(input_cols))
+        if block.basis_imag is None:
+            input_cols.append(block.basis_real)
+            output_cols.append(block.basis_real)
+        else:
+            b_r, b_i = block.basis
+            input_cols += [b_r, b_i, b_r, b_i]
+            output_cols += [b_r, b_i, b_i, b_r]
+    c, s = np.cos(detector_angle), np.sin(detector_angle)
+    mix = np.stack([c, c, s, -s], axis=1)
     within = np.zeros((detector_angle.size, len(input_cols)))
-    within[factor_detector, np.arange(len(input_cols))] = 1.0
+    for detector, index in enumerate(detector_block):
+        first, width = first_factor[index], 4 if blocks[index].is_two_dimensional else 1
+        within[detector, first : first + width] = mix[detector, :width]
     bank = DetectorBank(
         blocks=tuple(blocks),
         detector_block=detector_block,
@@ -351,9 +380,34 @@ def load_bank(directory) -> DetectorBank:
         )
         for j, (angle, two_dim) in enumerate(block_table)
     ]
+    _check_detector_table(detector_table, blocks)
     return _assemble_bank(
         blocks,
         detector_table[:, 0],
         detector_table[:, 1],
         load_matrix(directory / "across_pool.wmat"),
     )
+
+
+def _check_detector_table(table, blocks) -> None:
+    """FormatError unless every row of the stored detector table names one
+    of ``blocks`` by an integer index and holds a finite angle that its
+    block can turn by."""
+    if table.shape[1] != 2:
+        raise FormatError(
+            f"detector_table.wmat has {table.shape[1]} columns, expected 2"
+        )
+    for row, (index, theta) in enumerate(table.tolist()):
+        where = f"detector_table.wmat row {row}"
+        if not (index.is_integer() and 0 <= index < len(blocks)):
+            raise FormatError(
+                f"{where}: block index {index!r} is not one of the "
+                f"{len(blocks)} blocks"
+            )
+        if not np.isfinite(theta):
+            raise FormatError(f"{where}: preferred angle {theta!r} is not finite")
+        if not blocks[int(index)].is_two_dimensional and not _on_real_axis(theta):
+            raise FormatError(
+                f"{where}: 1-D block {int(index)} has preferred angle "
+                f"{theta!r}, not 0 or pi"
+            )

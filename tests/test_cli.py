@@ -1,5 +1,7 @@
 """CLI smoke tests: exit codes, artifact creation, config plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,45 @@ def test_analyze_geometry_off_the_dim_exits_2(tmp_path, capsys, source, options)
     assert main(args + options) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_bank_artifacts_keep_their_bytes(tmp_path):
+    # one tile per x filter of each detector (its block's rotated basis),
+    # and the detector table, for the dim-16 shift bank
+    save_bank(build_shift_bank(16), tmp_path / "in")
+    args = ["analyze", "--bank", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+        for name in ("bank_filters.pgm", "detectors.csv")
+    }
+    assert digests == {
+        "bank_filters.pgm": "eed4ae01fd9bee782e7dbacd970dbfe3105719b1cfddd55ba9a70a7fc4cebcd7",
+        "detectors.csv": "349be15f23f0f92b74d748f0545d6ae486f8c0e5d9208d1a3719acb5f8f56ee9",
+    }
+
+
+@pytest.mark.parametrize(
+    "column, value", [(0, 40.0), (0, -1.0), (0, 0.5), (1, np.nan), (1, 0.3)]
+)
+def test_analyze_bank_with_a_bad_detector_table_exits_1_with_one_line(
+    tmp_path, capsys, column, value
+):
+    # block index off the table, negative or fractional; a NaN angle; a
+    # turn on a 1-D block
+    bank = build_shift_bank(16)
+    save_bank(bank, tmp_path / "in")
+    path = tmp_path / "in" / "detector_table.wmat"
+    table = load_matrix(path)
+    one_dim = [not bank.blocks[i].is_two_dimensional for i in bank.detector_block]
+    table[one_dim.index(True), column] = value
+    save_matrix(path, table)
+    args = ["analyze", "--bank", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector_table.wmat row ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

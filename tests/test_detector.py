@@ -18,6 +18,7 @@ from warpcode.detector import (
 from warpcode.errors import (
     DataError,
     DimensionError,
+    FormatError,
     MissingComponentError,
     NormalizationError,
     SharedSubspaceError,
@@ -25,6 +26,7 @@ from warpcode.errors import (
 from warpcode.experiments import build_shift_bank
 from warpcode.model import GatedModel, infer_mappings
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
+from warpcode.storage import load_matrix, save_matrix
 from warpcode.warp_algebra import (
     WarpMatrix,
     decompose,
@@ -303,10 +305,11 @@ class TestSequenceDetector:
             sequence_detector_response(block, 0.1, [zero_patch(16)])
 
 
-def assert_bank_matches_per_detector_loop(bank):
-    """The bank's filters and within pooling, byte for byte those of a loop
-    over detectors: x filters (c b_r - s b_i, s b_r + c b_i), or c b_r on a
-    1-D block, y filters the plain basis, one pooling row per detector."""
+def per_detector_loop(bank):
+    """The reference bank of one filter pair per detector: x through its
+    block's basis rotated by its angle, (c b_r - s b_i, s b_r + c b_i) or
+    c b_r on a 1-D block, y through the plain basis, and one pooling row per
+    detector that sums its products."""
     inputs, outputs, owner = [], [], []
     for detector, (index, theta) in enumerate(
         zip(bank.detector_block, bank.detector_angle)
@@ -325,13 +328,56 @@ def assert_bank_matches_per_detector_loop(bank):
         owner += [detector] * (len(inputs) - len(owner))
     within = np.zeros((bank.n_detectors, len(inputs)))
     within[owner, np.arange(len(inputs))] = 1.0
-    for got, expected in (
-        (bank.input_filters, np.stack(inputs, axis=1)),
-        (bank.output_filters, np.stack(outputs, axis=1)),
-        (bank.within_pool, within),
+    return np.stack(inputs, axis=1), np.stack(outputs, axis=1), within
+
+
+def per_block_loop(bank):
+    """The steered bank's filters and within pooling, built block by block:
+    four factors (b_r b_r, b_i b_i, b_r b_i, b_i b_r) mixed by (c, c, s, -s)
+    on a 2-D block, one factor b_r b_r weighted c on a 1-D block."""
+    inputs, outputs, columns = [], [], []
+    c, s = np.cos(bank.detector_angle), np.sin(bank.detector_angle)
+    for index, blk in enumerate(bank.blocks):
+        mine = bank.detector_block == index
+        if blk.basis_imag is None:
+            factors = [(blk.basis_real, blk.basis_real, c)]
+        else:
+            b_r, b_i = blk.basis_real, blk.basis_imag
+            factors = [(b_r, b_r, c), (b_i, b_i, c), (b_r, b_i, s), (b_i, b_r, -s)]
+        for u, v, weight in factors:
+            inputs.append(u)
+            outputs.append(v)
+            columns.append(np.where(mine, weight, 0.0))
+    return tuple(np.stack(cols, axis=1) for cols in (inputs, outputs, columns))
+
+
+def assert_bank_matches_per_detector_loop(bank):
+    """The bank's filters and within pooling are byte for byte the per-block
+    loop's, and its per-detector responses on unit-norm pairs are those of
+    the per-detector loop to 1e-14.  The per-detector x filters are byte for
+    byte each block's ``rotated_basis``, which keeps the sign of -0 entries
+    at +-pi on 1-D blocks (the tiles ``analyze --bank`` exports)."""
+    for got, expected in zip(
+        (bank.input_filters, bank.output_filters, bank.within_pool),
+        per_block_loop(bank),
     ):
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    u, v, within = per_detector_loop(bank)
+    rotated = [
+        vec
+        for index, theta in zip(bank.detector_block, bank.detector_angle)
+        for vec in bank.blocks[index].rotated_basis(theta)
+    ]
+    rotated = np.stack(rotated, axis=1)
+    np.testing.assert_array_equal(rotated.view(np.uint64), u.view(np.uint64))
+    rng = np.random.default_rng(bank.dim)
+    xs, ys = rng.standard_normal((2, 50, bank.dim))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    per_detector, _ = batch_pooled_responses(bank, xs, ys)
+    reference = ((xs @ u) * (ys @ v)) @ within.T
+    assert np.abs(per_detector - reference).max() <= 1e-14
 
 
 class TestDetectorBank:
@@ -397,7 +443,7 @@ class TestDetectorBank:
         assert_bank_matches_per_detector_loop(build_shift_bank(dim))
 
     def test_identity_bank_equals_the_per_detector_loop_bitwise(self):
-        # 1-D blocks at -pi and pi: c b_r, whose -0 entries keep their sign
+        # 1-D blocks at -pi and pi: the reference's c b_r keeps -0 signs
         decomposition = decompose(WarpMatrix.from_entries(np.eye(6)))
         grid = [0.0, np.pi / 3, -np.pi, np.pi]
         bank = build_bank_from_warp_family([decomposition], grid)
@@ -415,6 +461,16 @@ class TestDetectorBank:
                 batch_pooled_responses(bank, xs, ys)
             with pytest.raises(DataError):
                 batch_pooled_responses(bank, ys, xs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_preferred_angle_rejected(self, bad, block):
+        # a NaN angle would make a NaN code, whose argmax answers shift 0
+        unit_shift = decompose(make_cyclic_shift(8, 1))
+        with pytest.raises(DataError):
+            build_bank_from_warp_family([unit_shift], [0.5, bad])
+        x = contrast_normalize(np.arange(16.0))
+        with pytest.raises(DataError):
+            rotation_detector_response(block, bad, x, x)
 
     def test_empty_grid_rejected(self, shift16):
         with pytest.raises(ValueError):
@@ -507,11 +563,38 @@ class TestDetectorBank:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [(0, 40.0), (0, -1.0), (0, 0.5), (0, np.nan)]
+        + [(1, np.nan), (1, np.inf), (1, 0.3)],
+    )
+    def test_load_rejects_a_bad_detector_table(self, tmp_path, column, value):
+        # block index off the table, negative, fractional or NaN; an angle
+        # that is not finite, or a turn on a 1-D block
+        bank = build_shift_bank(16)
+        save_bank(bank, tmp_path)
+        table = load_matrix(tmp_path / "detector_table.wmat")
+        row = next(
+            d
+            for d, index in enumerate(bank.detector_block)
+            if not bank.blocks[index].is_two_dimensional
+        )
+        table[row, column] = value
+        save_matrix(tmp_path / "detector_table.wmat", table)
+        with pytest.raises(FormatError, match=f"detector_table.wmat row {row}: "):
+            load_bank(tmp_path)
+
     def test_bank_invariants(self, shift16):
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]
         bank = build_bank_from_warp_family([shift16], grid)
-        # each within-pool row touches only its own detector's factors
-        assert np.all(bank.within_pool.sum(axis=1) <= 2)
+        # each within-pool row touches only its own block's <= 4 factors
+        widths = [4 if blk.is_two_dimensional else 1 for blk in bank.blocks]
+        first = np.cumsum([0] + widths)
+        assert bank.within_pool.shape == (bank.n_detectors, first[-1])
+        for row, index in zip(bank.within_pool, bank.detector_block):
+            touched = np.flatnonzero(row)
+            assert touched.size <= 4
+            assert np.all((touched >= first[index]) & (touched < first[index + 1]))
         # basis pairs unit-norm and orthogonal
         for blk in bank.blocks:
             assert np.linalg.norm(blk.basis_real) == pytest.approx(1.0, abs=1e-8)
