@@ -32,8 +32,10 @@ def quadrature_pair_score(u_pair, v_pair) -> Tuple[float, float]:
 
     Minimizes ``|v_pair - u_pair R(theta)|_F`` over the plane rotation R;
     theta has the closed form ``atan2(B, A)`` from the two inner-product
-    sums A and B.  ``fit_r2`` is the explained fraction of the v-pair's
-    energy, clamped to [0, 1] (orthogonal v-pairs score 0).
+    sums A and B.  It is the block angle of the warp that carries the
+    u-pair onto the v-pair: with the u-pair as a ``SubspaceBlock``'s basis,
+    v = ``rotated_basis(-theta)``.  ``fit_r2`` is the explained fraction of
+    the v-pair's energy, clamped to [0, 1] (orthogonal v-pairs score 0).
     """
     u = _as_pair(u_pair, "u_pair")
     v = _as_pair(v_pair, "v_pair")
@@ -46,13 +48,6 @@ def quadrature_pair_score(u_pair, v_pair) -> Tuple[float, float]:
     residual = v_energy - 2.0 * float(np.hypot(a, b)) + float(np.sum(u * u))
     fit_r2 = float(np.clip(1.0 - residual / v_energy, 0.0, 1.0))
     return theta, fit_r2
-
-
-def rotate_pair(pair, theta) -> np.ndarray:
-    """The filter pair rotated by theta within its own span."""
-    pair = _as_pair(pair, "pair")
-    c, s = np.cos(theta), np.sin(theta)
-    return pair @ np.array([[c, s], [-s, c]]).T
 
 
 def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None) -> float:

@@ -29,7 +29,14 @@ from .errors import (
 from .model import pooled_products
 from .patches import ImagePatch
 from .storage import load_matrix, save_matrix
-from .warp_algebra import SubspaceBlock, SubspaceDecomposition, wrap_angle
+from .warp_algebra import (
+    ALGEBRAIC_TOL,
+    SubspaceBlock,
+    SubspaceDecomposition,
+    WarpMatrix,
+    commutation_residual,
+    wrap_angle,
+)
 
 # Angles closer than this are treated as the same preferred angle.
 ANGLE_MATCH_TOL = 1e-9
@@ -199,14 +206,16 @@ class DetectorResponse:
     pooled: np.ndarray
 
 
-def _validate_shared_subspaces(decompositions, tol=1e-6):
-    reference = decompositions[0]
+def _check_shared_subspaces(decompositions, tol=1e-6):
+    """SharedSubspaceError unless each later member commutes with the first
+    and maps each block of the first into itself; neither suffices alone."""
+    first = decompositions[0]
     worst = 0.0
     for other in decompositions[1:]:
-        if other.dim != reference.dim:
-            raise DimensionError("warp family members have different dimensions")
-        for vec in other.basis_matrix().T:
-            worst = max(worst, min(block.leakage(vec) for block in reference.blocks))
+        a, b = (WarpMatrix.from_entries(d.assemble()) for d in (first, other))
+        residual = commutation_residual(a, b)  # DimensionError if sizes differ
+        leakage = max(k.leakage(b.entries @ v) for k in first.blocks for v in k.basis)
+        worst = max(worst, residual, leakage)
     if worst > tol:
         raise SharedSubspaceError(worst)
 
@@ -218,33 +227,30 @@ def build_bank_from_warp_family(
 ) -> DetectorBank:
     """One detector per (shared subspace, grid angle).
 
-    All decompositions must share invariant subspaces (leakage <= 1e-6); the
-    first one supplies the basis.  1-D subspaces only get detectors for grid
-    angles 0 and pi, where no continuous rotation exists.  The default
-    ``across_pool`` sums detectors of the same grid angle across subspaces,
-    one pooled output per grid angle.
+    The first decomposition supplies the subspaces and should have distinct
+    angles, since a repeated angle's planes are arbitrary.  Every later one
+    must commute with it and map each of its subspaces into itself (leakage
+    <= 1e-6).  1-D subspaces only get detectors for grid angles 0 and pi,
+    where no continuous rotation exists.  The default ``across_pool`` sums
+    detectors of the same grid angle across subspaces, one pooled output per
+    grid angle.
     """
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("empty warp family")
-    theta_grid = _finite_angles(theta_grid).tolist()
-    if not theta_grid:
+    theta_grid = _finite_angles(theta_grid)
+    if not theta_grid.size:
         raise ValueError("empty preferred-angle grid")
-    _validate_shared_subspaces(decompositions)
+    _check_shared_subspaces(decompositions)
 
     blocks = decompositions[0].blocks
-    det_block, det_angle, det_grid_index = [], [], []
-    for block_index, block in enumerate(blocks):
-        for grid_index, theta in enumerate(theta_grid):
-            if block.basis_imag is None and not _on_real_axis(theta):
-                continue
-            det_block.append(block_index)
-            det_angle.append(theta)
-            det_grid_index.append(grid_index)
+    two_dim = np.array([block.is_two_dimensional for block in blocks])
+    # block-major: each block's detectors in grid order
+    det_block, det_grid = np.nonzero(two_dim[:, None] | _on_real_axis(theta_grid))
     if across_pool is None:
-        across_pool = np.zeros((len(det_angle), len(theta_grid)))
-        across_pool[np.arange(len(det_angle)), det_grid_index] = 1.0
-    return _assemble_bank(blocks, det_block, det_angle, across_pool)
+        across_pool = np.zeros((det_block.size, theta_grid.size))
+        across_pool[np.arange(det_block.size), det_grid] = 1.0
+    return _assemble_bank(blocks, det_block, theta_grid[det_grid], across_pool)
 
 
 def _finite_angles(angles) -> np.ndarray:
@@ -256,10 +262,11 @@ def _finite_angles(angles) -> np.ndarray:
     return angles
 
 
-def _on_real_axis(theta) -> bool:
-    """Whether ``theta`` is 0 or pi, the only angles a 1-D block turns by."""
-    wrapped = abs(wrap_angle(theta))
-    return wrapped <= ANGLE_MATCH_TOL or abs(wrapped - np.pi) <= ANGLE_MATCH_TOL
+def _on_real_axis(theta):
+    """Whether ``theta`` is 0 or pi, the only angles a 1-D block turns by;
+    elementwise on an array."""
+    wrapped = np.abs(wrap_angle(theta))
+    return (wrapped <= ANGLE_MATCH_TOL) | (abs(wrapped - np.pi) <= ANGLE_MATCH_TOL)
 
 
 def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
@@ -273,22 +280,18 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
     """
     detector_block = np.asarray(detector_block, dtype=np.intp)
     detector_angle = _finite_angles(detector_angle)
-    input_cols, output_cols, first_factor = [], [], []
+    input_cols, output_cols, first_factor = [], [], [0]
     for block in blocks:
+        width = block.block_dim**2  # four factors, or one on a 1-D block
+        input_cols += (block.basis * 2)[:width]
+        output_cols += (block.basis + block.basis[::-1])[:width]
         first_factor.append(len(input_cols))
-        if block.basis_imag is None:
-            input_cols.append(block.basis_real)
-            output_cols.append(block.basis_real)
-        else:
-            b_r, b_i = block.basis
-            input_cols += [b_r, b_i, b_r, b_i]
-            output_cols += [b_r, b_i, b_i, b_r]
     c, s = np.cos(detector_angle), np.sin(detector_angle)
     mix = np.stack([c, c, s, -s], axis=1)
     within = np.zeros((detector_angle.size, len(input_cols)))
     for detector, index in enumerate(detector_block):
-        first, width = first_factor[index], 4 if blocks[index].is_two_dimensional else 1
-        within[detector, first : first + width] = mix[detector, :width]
+        first, end = first_factor[index], first_factor[index + 1]
+        within[detector, first:end] = mix[detector, : end - first]
     bank = DetectorBank(
         blocks=tuple(blocks),
         detector_block=detector_block,
@@ -335,79 +338,74 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
 # serialization (WMAT container + block table)
 
 
-def save_bank(bank: DetectorBank, directory) -> None:
-    """Write a bank as WMAT matrices plus a block/detector table.
+BANK_FILES = ("bases_real", "bases_imag", "block_table", "detector_table", "across_pool")
 
-    Stored pieces: block bases (zero imaginary column for 1-D blocks), block
-    angles and kinds, the detector table (block index, preferred angle), and
-    the across pooling.  Filters and the within pooling are rebuilt
-    deterministically on load.
-    """
+
+def save_bank(bank: DetectorBank, directory) -> None:
+    """Write a bank as one WMAT matrix ``<name>.wmat`` per ``BANK_FILES``
+    entry: block bases (a zero imaginary column for a 1-D block), block
+    angles and kinds, the detector table (block index, preferred angle) and
+    the across pooling.  Filters and within pooling are rebuilt on load."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    dim = bank.dim
-    n_blocks = len(bank.blocks)
-    bases_real = np.zeros((dim, n_blocks))
-    bases_imag = np.zeros((dim, n_blocks))
-    block_table = np.zeros((n_blocks, 2))  # angle, is_two_dimensional
-    for j, block in enumerate(bank.blocks):
-        bases_real[:, j] = block.basis_real
-        block_table[j, 0] = block.angle
-        if block.basis_imag is not None:
-            bases_imag[:, j] = block.basis_imag
-            block_table[j, 1] = 1.0
-    detector_table = np.stack(
-        [bank.detector_block.astype(np.float64), bank.detector_angle], axis=1
+    blocks, zero = bank.blocks, np.zeros(bank.dim)
+    imag = [zero if b.basis_imag is None else b.basis_imag for b in blocks]
+    tables = (
+        np.stack([b.basis_real for b in blocks], axis=1),
+        np.stack(imag, axis=1),
+        np.array([(b.angle, b.is_two_dimensional) for b in blocks], dtype=np.float64),
+        np.stack([bank.detector_block.astype(np.float64), bank.detector_angle], axis=1),
+        bank.across_pool,
     )
-    save_matrix(directory / "bases_real.wmat", bases_real)
-    save_matrix(directory / "bases_imag.wmat", bases_imag)
-    save_matrix(directory / "block_table.wmat", block_table)
-    save_matrix(directory / "detector_table.wmat", detector_table)
-    save_matrix(directory / "across_pool.wmat", bank.across_pool)
+    for name, table in zip(BANK_FILES, tables):
+        save_matrix(directory / f"{name}.wmat", table)
 
 
 def load_bank(directory) -> DetectorBank:
-    directory = Path(directory)
-    bases_real = load_matrix(directory / "bases_real.wmat")
-    bases_imag = load_matrix(directory / "bases_imag.wmat")
-    block_table = load_matrix(directory / "block_table.wmat")
-    detector_table = load_matrix(directory / "detector_table.wmat")
-    blocks = [
-        SubspaceBlock(
-            bases_real[:, j],
-            bases_imag[:, j] if two_dim > 0.5 else None,
-            float(angle),
-        )
-        for j, (angle, two_dim) in enumerate(block_table)
-    ]
-    _check_detector_table(detector_table, blocks)
-    return _assemble_bank(
-        blocks,
-        detector_table[:, 0],
-        detector_table[:, 1],
-        load_matrix(directory / "across_pool.wmat"),
-    )
+    """Read a bank that ``save_bank`` wrote.
 
-
-def _check_detector_table(table, blocks) -> None:
-    """FormatError unless every row of the stored detector table names one
-    of ``blocks`` by an integer index and holds a finite angle that its
-    block can turn by."""
-    if table.shape[1] != 2:
+    FormatError, naming the file, unless the files agree in shape, every
+    entry is finite, each kind flag is 0 or 1, the block bases are
+    orthonormal (they need not span the whole space) and every detector
+    names one of the blocks by index, with an angle that block can turn by.
+    """
+    tables = [load_matrix(Path(directory) / f"{name}.wmat") for name in BANK_FILES]
+    bases_real, bases_imag, block_table, detector_table, across_pool = tables
+    (dim, n_blocks), n_detectors = bases_real.shape, len(detector_table)
+    shapes = [(dim, n_blocks)] * 2 + [(n_blocks, 2), (n_detectors, 2)]
+    shapes.append((n_detectors, across_pool.shape[1]))
+    for name, table, shape in zip(BANK_FILES, tables, shapes):
+        if table.shape != shape:
+            raise FormatError(f"{name}.wmat has shape {table.shape}, expected {shape}")
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise FormatError(f"{name}.wmat row {bad[0]}: holds a non-finite entry")
+    kinds = block_table[:, 1]
+    bad = np.flatnonzero((kinds != 0.0) & (kinds != 1.0))
+    if bad.size:
         raise FormatError(
-            f"detector_table.wmat has {table.shape[1]} columns, expected 2"
+            f"block_table.wmat row {bad[0]}: kind flag {kinds[bad[0]]:g} is not 0 or 1"
         )
-    for row, (index, theta) in enumerate(table.tolist()):
+    basis = np.concatenate([bases_real, bases_imag[:, kinds == 1.0]], axis=1)
+    deviation = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0)
+    if deviation > ALGEBRAIC_TOL:
+        raise FormatError(
+            f"bases_real.wmat, bases_imag.wmat: block bases are not orthonormal "
+            f"(deviation {deviation:.3g})"
+        )
+    blocks = [
+        SubspaceBlock(bases_real[:, j], bases_imag[:, j] if two_dim else None, angle)
+        for j, (angle, two_dim) in enumerate(block_table.tolist())
+    ]
+    for row, (index, theta) in enumerate(detector_table.tolist()):
         where = f"detector_table.wmat row {row}"
-        if not (index.is_integer() and 0 <= index < len(blocks)):
+        if not (index.is_integer() and 0 <= index < n_blocks):
             raise FormatError(
-                f"{where}: block index {index!r} is not one of the "
-                f"{len(blocks)} blocks"
+                f"{where}: block index {index!r} is not one of the {n_blocks} blocks"
             )
-        if not np.isfinite(theta):
-            raise FormatError(f"{where}: preferred angle {theta!r} is not finite")
         if not blocks[int(index)].is_two_dimensional and not _on_real_axis(theta):
             raise FormatError(
                 f"{where}: 1-D block {int(index)} has preferred angle "
                 f"{theta!r}, not 0 or pi"
             )
+    return _assemble_bank(blocks, *detector_table.T, across_pool)

@@ -28,7 +28,7 @@ class SharedSubspaceError(WarpcodeError, ValueError):
         self.leakage = float(leakage)
         super().__init__(
             f"warp family does not share invariant subspaces "
-            f"(max leakage {self.leakage:.3g})"
+            f"(max leakage or commutation residual {self.leakage:.3g})"
         )
 
 

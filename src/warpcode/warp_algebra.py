@@ -449,8 +449,12 @@ def shared_subspace_alignment(a: WarpMatrix, b: WarpMatrix) -> AlignmentReport:
     """How well ``b`` preserves the 2-D invariant subspaces of ``a``.
 
     For each two-dimensional block of ``decompose(a)``, measures the norm of
-    the component of ``b @ basis`` falling outside the block.  Commuting
-    orthogonal warps give (numerically) zero leakage everywhere.
+    the component of ``b @ basis`` falling outside the block.  A warp that
+    commutes with ``a`` gives (numerically) zero leakage when ``a`` has no
+    repeated angle.  Where an angle repeats, its planes are an arbitrary
+    choice within the eigenspace, and commuting warps need not keep them:
+    the 13x13 translations by (1, 0) and (0, 1) commute, yet each splits
+    into 91 blocks with 7 distinct angles, and the leakage is 1.0 both ways.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")

@@ -10,18 +10,24 @@ from warpcode.analysis import (
     invariance_ratio,
     pair_rotation_invariance_score,
     quadrature_pair_score,
-    rotate_pair,
     score_filter_bank_pairs,
     spectral_overlap,
 )
 from warpcode.errors import DataError, DimensionError
 from warpcode.storage import read_pgm
+from warpcode.warp_algebra import SubspaceBlock
 
 
 def random_pair(rng, dim=40):
     pair = rng.standard_normal((dim, 2))
     q, _ = np.linalg.qr(pair)
     return q
+
+
+def rotated_partner(pair, theta):
+    """The pair as a block's basis, turned by the warp of block angle theta."""
+    block = SubspaceBlock(pair[:, 0], pair[:, 1], 0.0)
+    return np.stack(block.rotated_basis(-theta), axis=1)
 
 
 class TestQuadraturePairScore:
@@ -33,7 +39,7 @@ class TestQuadraturePairScore:
 
     def test_exact_quadrature_partner_scores_quarter_turn(self):
         pair = random_pair(np.random.default_rng(2))
-        partner = rotate_pair(pair, np.pi / 2)
+        partner = rotated_partner(pair, np.pi / 2)
         theta, fit = quadrature_pair_score(pair, partner)
         assert abs(theta) == pytest.approx(np.pi / 2, abs=1e-12)
         assert fit == pytest.approx(1.0, abs=1e-12)
@@ -52,7 +58,7 @@ class TestQuadraturePairScore:
     def test_rotation_consistent_over_full_grid(self):
         pair = random_pair(np.random.default_rng(4))
         for theta in np.linspace(-np.pi, np.pi, 360, endpoint=False):
-            found, fit = quadrature_pair_score(pair, rotate_pair(pair, theta))
+            found, fit = quadrature_pair_score(pair, rotated_partner(pair, theta))
             assert abs(np.arctan2(np.sin(found - theta), np.cos(found - theta))) <= 1e-8
             assert fit >= 1.0 - 1e-10
 

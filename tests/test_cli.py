@@ -266,6 +266,38 @@ def test_analyze_bank_with_a_bad_detector_table_exits_1_with_one_line(
     assert not (tmp_path / "o").exists()
 
 
+def _set_entry(row, column, value):
+    def corrupt(table):
+        table[row, column] = value
+        return table
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("across_pool.wmat", _set_entry(3, 0, np.nan)),
+        ("block_table.wmat", _set_entry(2, 1, 2.0)),
+        ("bases_imag.wmat", _set_entry(slice(None), 1, 0.0)),  # block 1 is 2-D
+        ("block_table.wmat", lambda table: np.vstack([table, table[-1:]])),
+    ],
+    ids=["nan-across-pool", "kind-flag-2", "zero-imaginary-basis", "extra-block-row"],
+)
+def test_analyze_bank_with_a_bad_file_exits_1_with_one_line(
+    tmp_path, capsys, name, corrupt
+):
+    save_bank(build_shift_bank(16), tmp_path / "in")
+    path = tmp_path / "in" / name
+    save_matrix(path, corrupt(load_matrix(path)))
+    args = ["analyze", "--bank", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_classify_geometry_off_the_checkpoint_dim_exits_2(tmp_path, capsys):
     # a 13x13 checkpoint, as `gen pairs` and `train` make at their defaults,
     # against classify's default 16x16 glyphs

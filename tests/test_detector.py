@@ -1,9 +1,14 @@
 """Tests for subspace rotation detectors and pooled codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from warpcode.detector import (
+    ANGLE_MATCH_TOL,
+    _assemble_bank,
+    _on_real_axis,
     batch_pooled_responses,
     build_bank_from_warp_family,
     energy_detector_response,
@@ -29,6 +34,7 @@ from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import load_matrix, save_matrix
 from warpcode.warp_algebra import (
     WarpMatrix,
+    commutation_residual,
     decompose,
     make_cyclic_shift,
     wrap_angle,
@@ -601,3 +607,162 @@ class TestDetectorBank:
             if blk.basis_imag is not None:
                 assert np.linalg.norm(blk.basis_imag) == pytest.approx(1.0, abs=1e-8)
                 assert abs(blk.basis_real @ blk.basis_imag) <= 1e-8
+
+
+class TestWarpFamilyCheck:
+    """A later member passes when it commutes with the first and maps each
+    of the first member's blocks into itself."""
+
+    @pytest.mark.parametrize(
+        "side, shifts", [(16, (1, 2)), (16, (1, 3, 4)), (8, (1, 2))]
+    )
+    def test_commuting_shifts_keep_the_first_members_planes(self, side, shifts):
+        family = [decompose(make_cyclic_shift(side, s)) for s in shifts]
+        grid = wrap_angle(2 * np.pi * np.arange(side) / side)
+        bank = build_bank_from_warp_family(family, grid)
+        # the later members only pass the check; the first builds the bank
+        alone = build_bank_from_warp_family(family[:1], grid)
+        for name in ("input_filters", "output_filters", "within_pool", "across_pool"):
+            got, expected = getattr(bank, name), getattr(alone, name)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["reversal", "repeated-angles-first"])
+    def test_family_rejected(self, case):
+        if case == "reversal":
+            # keeps every Fourier plane of the shift but reflects it, and
+            # does not commute with it
+            reversal = WarpMatrix.from_entries(np.eye(16)[::-1])
+            assert commutation_residual(make_cyclic_shift(16, 1), reversal) == 1.0
+            family = [decompose(make_cyclic_shift(16, 1)), decompose(reversal)]
+        else:
+            # a shift by 2 on 8 px repeats each angle, so its planes are an
+            # arbitrary choice that the shift by 1 need not keep
+            family = [decompose(make_cyclic_shift(8, s)) for s in (2, 1)]
+        with pytest.raises(SharedSubspaceError) as info:
+            build_bank_from_warp_family(family, [0.0])
+        assert info.value.leakage > 1e-6
+
+    def test_members_of_different_sizes_rejected(self):
+        family = [decompose(make_cyclic_shift(n, 1)) for n in (16, 8)]
+        with pytest.raises(DimensionError):
+            build_bank_from_warp_family(family, [0.0])
+
+    def test_on_real_axis_elementwise_equals_the_scalar_call(self):
+        eps = 1e-10
+        specials = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi, np.nan]
+        specials += [np.pi + eps, np.pi - eps, -np.pi + eps, -np.pi - eps, eps, -eps]
+        specials += [2 * ANGLE_MATCH_TOL, np.pi - 2 * ANGLE_MATCH_TOL, 0.5]
+        angles = np.concatenate(
+            [specials, np.random.default_rng(71).uniform(-7, 7, 100)]
+        )
+        got = _on_real_axis(angles)
+        assert got.dtype == bool and got.shape == angles.shape
+        scalar = np.array([bool(_on_real_axis(float(theta))) for theta in angles])
+        np.testing.assert_array_equal(got, scalar)
+        expected = [True] * 6 + [False] + [True] * 6 + [False] * 3
+        assert got[: len(specials)].tolist() == expected
+
+
+def corrupt_entry(row, column, value):
+    def corrupt(table):
+        table[row, column] = value
+        return table
+
+    return corrupt
+
+
+def scale_column(column, factor):
+    def corrupt(table):
+        table[:, column] *= factor
+        return table
+
+    return corrupt
+
+
+BAD_BANK_FILES = {
+    "nan-across-pool": (
+        "across_pool.wmat",
+        corrupt_entry(3, 0, np.nan),
+        "across_pool.wmat row 3: holds a non-finite entry",
+    ),
+    "nan-basis": (
+        "bases_real.wmat",
+        corrupt_entry(5, 2, np.nan),
+        "bases_real.wmat row 5: holds a non-finite entry",
+    ),
+    "inf-block-angle": (
+        "block_table.wmat",
+        corrupt_entry(4, 0, np.inf),
+        "block_table.wmat row 4: holds a non-finite entry",
+    ),
+    "kind-flag-2": (
+        "block_table.wmat",
+        corrupt_entry(2, 1, 2.0),
+        "block_table.wmat row 2: kind flag 2 is not 0 or 1",
+    ),
+    "kind-flag-0.3": (
+        "block_table.wmat",
+        corrupt_entry(2, 1, 0.3),
+        "block_table.wmat row 2: kind flag 0.3 is not 0 or 1",
+    ),
+    "zero-imaginary-basis": (
+        "bases_imag.wmat",
+        scale_column(1, 0.0),  # block 1 is the first 2-D block
+        "bases_real.wmat, bases_imag.wmat: block bases are not orthonormal",
+    ),
+    "basis-off-unit-norm": (
+        "bases_real.wmat",
+        scale_column(0, 1.0 + 1e-6),
+        "bases_real.wmat, bases_imag.wmat: block bases are not orthonormal",
+    ),
+    "extra-block-row": (
+        "block_table.wmat",
+        lambda table: np.vstack([table, table[-1:]]),
+        r"block_table.wmat has shape \(10, 2\), expected \(9, 2\)",
+    ),
+    "short-imaginary-bases": (
+        "bases_imag.wmat",
+        lambda table: table[:-1],
+        r"bases_imag.wmat has shape \(15, 9\), expected \(16, 9\)",
+    ),
+    "short-across-pool": (
+        "across_pool.wmat",
+        lambda table: table[:-1],
+        r"across_pool.wmat has shape \(115, 16\), expected \(116, 16\)",
+    ),
+}
+
+
+class TestBankFiles:
+    def test_saved_shift_bank_keeps_its_bytes(self, tmp_path):
+        save_bank(build_shift_bank(16), tmp_path)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == {
+            "across_pool.wmat": "e2353fc89e9ccdb3a8bb7e256dc3832bea56c09d879da47bb4d19e6b6adc6e9c",
+            "bases_imag.wmat": "8fa7869c58855753465c0d5e42f39f44e7cead42c2e9c6117fae5a07e61e30b3",
+            "bases_real.wmat": "28c057032582d06df53a9b671fffe64b0e1ca01821e97a0d3e2c6c6afda3b901",
+            "block_table.wmat": "5d91107df60f80a86838533c863e0dd3d809ba8f79b1b7e6a8893798493f6133",
+            "detector_table.wmat": "5054e87939836aa67a8f56361d700e37f38c6e7bdc1908d1315d36509c83c7ae",
+        }
+
+    @pytest.mark.parametrize("case", list(BAD_BANK_FILES))
+    def test_load_rejects_a_bad_file(self, tmp_path, case):
+        name, corrupt, message = BAD_BANK_FILES[case]
+        bank = build_shift_bank(16)
+        assert bank.blocks[1].is_two_dimensional and bank.n_detectors == 116
+        save_bank(bank, tmp_path)
+        save_matrix(tmp_path / name, corrupt(load_matrix(tmp_path / name)))
+        with pytest.raises(FormatError, match=message):
+            load_bank(tmp_path)
+
+    def test_load_accepts_blocks_that_do_not_span_the_space(self, shift16, tmp_path):
+        # one 2-D block of 16 dimensions, as rotation_detector_response builds
+        bank = _assemble_bank([shift16.blocks[1]], [0], [0.7], np.ones((1, 1)))
+        save_bank(bank, tmp_path)
+        loaded = load_bank(tmp_path)
+        for name in ("input_filters", "output_filters", "within_pool", "across_pool"):
+            got, expected = getattr(loaded, name), getattr(bank, name)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
