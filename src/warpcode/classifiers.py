@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .patches import as_rows
 
 KNN_BLOCK = 64  # k-NN queries whose distances are held at once
-
-
-def _require_finite(name, values):
-    if not np.isfinite(values).all():
-        raise DataError(f"{name} hold non-finite values")
 
 
 def _multinomial_grad(weights, intercept, features, one_hot, l2):
@@ -64,13 +60,7 @@ class LogisticModel:
     classes: np.ndarray
 
     def predict(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.weights.shape[0]:
-            raise DimensionError(
-                f"features of shape {features.shape} do not fit a model of "
-                f"{self.weights.shape[0]} features"
-            )
-        _require_finite("features to predict", features)
+        features = as_rows(features, self.weights.shape[0], "features to predict")
         standardized = (features - self.feature_mean) / self.feature_scale
         logits = standardized @ self.weights + self.intercept
         return self.classes[np.argmax(logits, axis=1)]
@@ -96,11 +86,10 @@ def fit_logistic_regression(
     evaluates only the gradient, never the loss.  Non-finite features, and a
     fit that still ends non-finite, raise ``DataError``.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = as_rows(features, None, "logistic-regression features")
     labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] != labels.shape[0]:
+    if features.shape[0] != labels.shape[0]:
         raise DimensionError("features and labels disagree in length")
-    _require_finite("logistic-regression features", features)
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError("logistic regression needs at least two classes")
@@ -175,15 +164,13 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
     ``k`` of a stable sort of the distances (equal distances in training
     order), found without sorting whole rows.
     """
-    train_features = np.asarray(train_features, dtype=np.float64)
-    test_features = np.asarray(test_features, dtype=np.float64)
+    train_features = as_rows(train_features, None, "k-NN training features")
+    test_features = as_rows(test_features, train_features.shape[1], "k-NN query features")
     train_labels = np.asarray(train_labels)
     if train_features.shape[0] == 0:
         raise DataError("empty training set")
     if not 1 <= k <= train_features.shape[0]:
         raise DataError(f"k={k} outside 1..{train_features.shape[0]}")
-    _require_finite("k-NN training features", train_features)
-    _require_finite("k-NN query features", test_features)
     classes, train_class = np.unique(train_labels, return_inverse=True)
     train_sq = (train_features**2).sum(axis=1)
     predictions = np.empty(test_features.shape[0], dtype=train_labels.dtype)
@@ -215,16 +202,16 @@ class PcaProjector:
     components: np.ndarray  # (dim, n_components)
 
     def transform(self, features) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) @ self.components
+        features = as_rows(features, self.mean.size, "features to project")
+        return (features - self.mean) @ self.components
 
 
 def fit_pca(features, n_components: int) -> PcaProjector:
     """Principal directions of the training set via SVD."""
-    features = np.asarray(features, dtype=np.float64)
+    features = as_rows(features, None, "PCA features")
     n_components = min(n_components, features.shape[0] - 1, features.shape[1])
     if n_components < 1:
         raise DataError("PCA needs at least two samples")
-    _require_finite("PCA features", features)
     mean = features.mean(axis=0)
     _, _, vt = np.linalg.svd(features - mean, full_matrices=False)
     return PcaProjector(mean, vt[:n_components].T)

@@ -27,7 +27,7 @@ from .errors import (
     SharedSubspaceError,
 )
 from .model import pooled_products
-from .patches import ImagePatch
+from .patches import ImagePatch, as_row, as_rows
 from .storage import load_matrix, save_matrix
 from .warp_algebra import (
     ALGEBRAIC_TOL,
@@ -44,17 +44,6 @@ ANGLE_MATCH_TOL = 1e-9
 # Default in-block projection norm below which the relative angle is
 # considered unrecoverable (on unit-norm contrast-normalized patches).
 DEFAULT_APERTURE_FLOOR = 1e-3
-
-# Default number of preferred angles per subspace, uniform on (-pi, pi].
-DEFAULT_ANGLE_COUNT = 16
-
-
-def _patch_values(patch, dim):
-    values = patch.values if isinstance(patch, ImagePatch) else np.asarray(patch, float)
-    if values.shape != (dim,):
-        raise DimensionError(f"expected a length-{dim} patch, got shape {values.shape}")
-    return values
-
 
 def _require_normalized(*patches):
     # Degenerate (zero) patches pass: they carry no contrast to normalize
@@ -75,7 +64,7 @@ def project(block: SubspaceBlock, x) -> tuple:
         raise MissingComponentError(
             "1-D subspace has no imaginary basis component to project on"
         )
-    values = _patch_values(x, block.basis_real.size)
+    values = as_row(x, block.basis_real.size, "x")
     return float(block.basis_real @ values), float(block.basis_imag @ values)
 
 
@@ -115,8 +104,8 @@ def energy_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
     Identically equal to ``2 * rotation_detector_response + |p_x|^2 + |p_y|^2``.
     """
     _require_normalized(x, y)
-    xv = _patch_values(x, block.basis_real.size)
-    yv = _patch_values(y, block.basis_real.size)
+    xv = as_row(x, block.basis_real.size, "x")
+    yv = as_row(y, block.basis_real.size, "y")
     terms = zip(block.basis, block.rotated_basis(theta))
     return float(sum(((plain @ yv) + (rot @ xv)) ** 2 for plain, rot in terms))
 
@@ -144,7 +133,7 @@ def sequence_detector_response(
     sums = [0.0] * block.block_dim
     quadratic = 0.0
     for s, frame in enumerate(frames):
-        values = _patch_values(frame, dim)
+        values = as_row(frame, dim, f"frame {s}")
         for k, rotated in enumerate(block.rotated_basis(-theta * s)):
             term = rotated @ values
             sums[k] += term
@@ -308,9 +297,7 @@ def pooled_code(bank: DetectorBank, x, y) -> DetectorResponse:
     """Per-detector responses and the pooled transformation code for a pair:
     the one-row case of ``batch_pooled_responses``."""
     _require_normalized(x, y)
-    xv = _patch_values(x, bank.dim)
-    yv = _patch_values(y, bank.dim)
-    per_detector, pooled = batch_pooled_responses(bank, xv[None], yv[None])
+    per_detector, pooled = batch_pooled_responses(bank, x, y)
     return DetectorResponse(per_detector=per_detector[0], pooled=pooled[0])
 
 
@@ -320,15 +307,11 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
     The per-detector responses are a gated model's pooled products
     (``model.pooled_products``) with the bank's filters and P =
     ``within_pool.T``; ``across_pool`` maps them to the pooled code.
-    Inputs are assumed contrast-normalized already (rows of shape (n, dim));
-    returns ``(per_detector, pooled)`` arrays with one row per pair.
+    Inputs are assumed contrast-normalized already (rows of shape (n, dim),
+    read by ``patches.as_rows``); returns ``(per_detector, pooled)`` arrays
+    with one row per pair.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape[1] != bank.dim or ys.shape[1] != bank.dim:
-        raise DimensionError("input rows do not match the bank dimension")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise DataError("input rows hold non-finite values")
+    xs, ys = as_rows(xs, bank.dim, "xs"), as_rows(ys, bank.dim, "ys")
     per_detector = pooled_products(bank, xs, ys, bank.within_pool.T)
     pooled = per_detector @ bank.across_pool
     return per_detector, pooled
@@ -364,10 +347,11 @@ def save_bank(bank: DetectorBank, directory) -> None:
 def load_bank(directory) -> DetectorBank:
     """Read a bank that ``save_bank`` wrote.
 
-    FormatError, naming the file, unless the files agree in shape, every
-    entry is finite, each kind flag is 0 or 1, the block bases are
-    orthonormal (they need not span the whole space) and every detector
-    names one of the blocks by index, with an angle that block can turn by.
+    FormatError, naming the file, unless every entry is finite (checked by
+    ``load_matrix``), the files agree in shape, each kind flag is 0 or 1,
+    the block bases are orthonormal (they need not span the whole space)
+    and every detector names one of the blocks by index, with an angle
+    that block can turn by.
     """
     tables = [load_matrix(Path(directory) / f"{name}.wmat") for name in BANK_FILES]
     bases_real, bases_imag, block_table, detector_table, across_pool = tables
@@ -377,9 +361,6 @@ def load_bank(directory) -> DetectorBank:
     for name, table, shape in zip(BANK_FILES, tables, shapes):
         if table.shape != shape:
             raise FormatError(f"{name}.wmat has shape {table.shape}, expected {shape}")
-        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-        if bad.size:
-            raise FormatError(f"{name}.wmat row {bad[0]}: holds a non-finite entry")
     kinds = block_table[:, 1]
     bad = np.flatnonzero((kinds != 0.0) & (kinds != 1.0))
     if bad.size:

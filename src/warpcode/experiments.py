@@ -235,9 +235,10 @@ class ExperimentConfig:
         by ``config_file``, then by ``overrides``.  Every value set must
         pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
         integer set for a list option is a list of one.  Runs that rotate
-        patches by any angle need ``width == height``, and runs that draw
-        dot images (those with a ``density``) a geometry and density that
-        ``dataset.dot_image_dim`` accepts."""
+        patches by any angle need ``width == height``, band pooling an even
+        ``n_factors``, and runs that draw dot images (those with a
+        ``density``) a geometry and density that ``dataset.dot_image_dim``
+        accepts."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -270,6 +271,9 @@ class ExperimentConfig:
                 f"rotations need square patches, got width {params['width']} "
                 f"x height {params['height']}"
             )
+        band = experiment in ("fig2", "fig4") or params.get("pooling") == "band"
+        if band and params["n_factors"] % 2:  # band_pooling sums factors 2k, 2k+1
+            raise ConfigError(f"band pooling needs an even n_factors, got {params['n_factors']}")
         # dot images are redrawn until they hold a dot and a blank pixel
         if "density" in params:
             geometry = (params["width"], params["height"])

@@ -32,9 +32,10 @@ from .errors import (
     DataError,
     DimensionError,
     DivergenceError,
+    FormatError,
     ModelConfigError,
 )
-from .patches import ImagePatch
+from .patches import ImagePatch, as_row, as_rows
 from .storage import load_matrix, save_matrix
 
 DIVERGENCE_LOSS = 1e6
@@ -197,17 +198,6 @@ def standardizing_gain(*arrays) -> float:
     return count / total
 
 
-def _as_matrix(data, dim, name):
-    if isinstance(data, ImagePatch):
-        data = data.values[None, :]
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != dim:
-        raise DimensionError(f"{name} has dim {arr.shape[1]}, model expects {dim}")
-    return arr
-
-
 def pooled_products(layer, xs, ys, pool) -> np.ndarray:
     """The first layer of a gated model or a detector bank (``layer``): the
     products of the filter responses of row pairs, pooled by ``pool``."""
@@ -216,8 +206,8 @@ def pooled_products(layer, xs, ys, pool) -> np.ndarray:
 
 def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
     """Mapping-unit activities for one pair (or a batch of pairs)."""
-    xs = _as_matrix(x, model.dim_x, "x")
-    ys = _as_matrix(y, model.dim_y, "y")
+    xs = as_rows(x, model.dim_x, "x")
+    ys = as_rows(y, model.dim_y, "y")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError("x and y batches differ in length")
     pooled = pooled_products(model, xs, ys, model.within_pool)
@@ -228,12 +218,8 @@ def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
 
 def reconstruct(model: GatedModel, x, z) -> ImagePatch:
     """Linear-in-z reconstruction of y given x and mapping activities z."""
-    xs = _as_matrix(x, model.dim_x, "x")
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if z.size != model.n_mappings:
-        raise DimensionError(
-            f"z has {z.size} entries, model has {model.n_mappings} mapping units"
-        )
+    xs = as_rows(x, model.dim_x, "x")
+    z = as_row(np.ravel(z), model.n_mappings, "z")
     modulation = model.within_pool @ (model.across_pool @ z)
     values = model.output_filters @ ((xs[0] @ model.input_filters) * modulation)
     return ImagePatch(values)
@@ -247,13 +233,8 @@ def energy_forward(filters, pooling, x, y) -> np.ndarray:
     """
     filters = np.asarray(filters, dtype=np.float64)
     pooling = np.asarray(pooling, dtype=np.float64)
-    xv = x.values if isinstance(x, ImagePatch) else np.asarray(x, dtype=np.float64)
-    yv = y.values if isinstance(y, ImagePatch) else np.asarray(y, dtype=np.float64)
-    joint = np.concatenate([xv, yv])
-    if joint.size != filters.shape[0]:
-        raise DimensionError(
-            f"filters expect dim {filters.shape[0]}, got {joint.size}"
-        )
+    xv, yv = (v.values if isinstance(v, ImagePatch) else v for v in (x, y))
+    joint = as_row(np.concatenate([xv, yv]), filters.shape[0], "[x; y]")
     responses = filters.T @ joint
     return pooling.T @ (responses * responses)
 
@@ -262,19 +243,10 @@ def infer_sequence(model: GatedModel, frames) -> np.ndarray:
     """Mapping activities of a tied model on the concatenation of frames."""
     if not model.tied:
         raise ModelConfigError("sequence inference requires tied filters (U = V)")
-    frames = list(frames)
+    frames = [f.values if isinstance(f, ImagePatch) else f for f in frames]
     if not frames:
         raise DimensionError("empty frame list")
-    values = [
-        f.values if isinstance(f, ImagePatch) else np.asarray(f, dtype=np.float64)
-        for f in frames
-    ]
-    joint = np.concatenate(values)
-    if joint.size != model.dim_x:
-        raise DimensionError(
-            f"{len(frames)} frames of dim {values[0].size} do not fill the "
-            f"model's input dim {model.dim_x}"
-        )
+    joint = as_row(np.concatenate(frames), model.dim_x, "the concatenated frames")
     return infer_mappings(model, joint, joint)
 
 
@@ -284,7 +256,7 @@ def image_codes(model: GatedModel, xs) -> np.ndarray:
     This is the transformation-invariant code of the null transformation;
     used when data does not come in pairs.
     """
-    xs = _as_matrix(xs, model.dim_x, "x")
+    xs = as_rows(xs, model.dim_x, "xs")
     return pooled_products(model, xs, xs, model.within_pool)
 
 
@@ -343,14 +315,12 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
     product, and doubles its gradients in place.
     """
     mirrored = symmetric and model.tied and ys is xs
-    xs = _as_matrix(xs, model.dim_x, "x")
-    ys = xs if mirrored else _as_matrix(ys, model.dim_y, "y")
+    xs = as_rows(xs, model.dim_x, "xs")
+    ys = xs if mirrored else as_rows(ys, model.dim_y, "ys")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError("x and y batches differ in length")
     if xs.shape[0] == 0:
         raise DataError("empty batch")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise DataError("batch contains non-finite values")
     u, v, p, w = (
         model.input_filters,
         model.output_filters,
@@ -428,13 +398,6 @@ class TrainingTrace:
         return float(self.epoch_losses[-1])
 
 
-def _require_finite_rows(rows, name):
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise DataError(f"{name} row {row} holds non-finite values")
-
-
 def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     """Minibatch SGD with momentum and per-step filter renormalization.
 
@@ -456,17 +419,12 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     memory layout, since the layout sets the order of the column sums.
     At ``learning_rate`` 0 the steps only compute the loss.
     """
-    if hasattr(data, "xs") and hasattr(data, "ys"):
-        xs, ys = np.asarray(data.xs, float), np.asarray(data.ys, float)
-    else:
-        xs, ys = (np.asarray(part, dtype=np.float64) for part in data)
+    xs, ys = (data.xs, data.ys) if hasattr(data, "xs") and hasattr(data, "ys") else data
+    xs, ys = as_rows(xs, model.dim_x, "xs"), as_rows(ys, model.dim_y, "ys")
     if xs.shape[0] == 0:
         raise DataError("empty training set")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
-    _require_finite_rows(xs, "xs")
-    if ys is not xs:
-        _require_finite_rows(ys, "ys")
     if config.pair_decorrelation and model.n_factors % 2:
         raise ModelConfigError(
             f"pair_decorrelation needs an even factor count, got {model.n_factors}"
@@ -515,42 +473,73 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
 # checkpoints
 
 
+# model.json's keys in the order save_model writes them, and the WMAT files
+# in the order of GatedModel's arguments (a tied model has no output filters)
+CHECKPOINT_KEYS = (
+    "dim_x", "dim_y", "n_factors", "n_mappings",
+    "tied", "nonlinearity", "pooling_mode", "gate_gain",
+)
+CHECKPOINT_MATRICES = ("input_filters", "output_filters", "within_pool", "across_pool")
+
+
+def _matrix_files(directory, tied):
+    names = [name for name in CHECKPOINT_MATRICES if name != "output_filters" or not tied]
+    return {name: directory / f"{name}.wmat" for name in names}
+
+
 def save_model(model: GatedModel, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_matrix(directory / "input_filters.wmat", model.input_filters)
-    if not model.tied:
-        save_matrix(directory / "output_filters.wmat", model.output_filters)
-    save_matrix(directory / "within_pool.wmat", model.within_pool)
-    save_matrix(directory / "across_pool.wmat", model.across_pool)
-    manifest = {
-        "dim_x": model.dim_x,
-        "dim_y": model.dim_y,
-        "n_factors": model.n_factors,
-        "n_mappings": model.n_mappings,
-        "tied": model.tied,
-        "nonlinearity": model.nonlinearity,
-        "pooling_mode": model.pooling_mode,
-        "gate_gain": model.gate_gain,
-    }
+    for name, path in _matrix_files(directory, model.tied).items():
+        save_matrix(path, getattr(model, name))
+    manifest = {key: getattr(model, key) for key in CHECKPOINT_KEYS}
     (directory / "model.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_model(directory) -> GatedModel:
+    """Read a checkpoint that ``save_model`` wrote.
+
+    FormatError, naming the file, unless ``model.json`` is a JSON object
+    with every key ``save_model`` writes (a missing ``gate_gain``, as in
+    older checkpoints, reads 1.0), a boolean ``tied`` and values the model
+    accepts, and each matrix has the shape ``model.json`` gives it;
+    ``load_matrix`` rejects non-finite entries.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "model.json").read_text())
-    input_filters = load_matrix(directory / "input_filters.wmat")
-    tied = bool(manifest["tied"])
-    output_filters = (
-        None if tied else load_matrix(directory / "output_filters.wmat")
-    )
-    return GatedModel(
-        input_filters,
-        output_filters,
-        load_matrix(directory / "within_pool.wmat"),
-        load_matrix(directory / "across_pool.wmat"),
-        nonlinearity=manifest["nonlinearity"],
-        tied=tied,
-        pooling_mode=manifest["pooling_mode"],
-        gate_gain=manifest.get("gate_gain", 1.0),
-    )
+    try:
+        text = (directory / "model.json").read_text()
+        manifest = {"gate_gain": 1.0, **json.loads(text)}
+    except (ValueError, TypeError) as error:  # not UTF-8, not JSON, not an object
+        raise FormatError(f"model.json does not hold a JSON object: {error}") from None
+    missing = [key for key in CHECKPOINT_KEYS if key not in manifest]
+    if missing:
+        raise FormatError(f"model.json lacks {', '.join(missing)}")
+    tied = manifest["tied"]
+    if not isinstance(tied, bool):
+        raise FormatError(f"model.json: tied is {tied!r}, not true or false")
+    if tied and manifest["dim_y"] != manifest["dim_x"]:
+        raise FormatError("model.json: a tied model needs dim_x == dim_y")
+    files = _matrix_files(directory, tied)
+    matrices = {name: load_matrix(path) for name, path in files.items()}
+    factors, pooled = manifest["n_factors"], matrices["within_pool"].shape[1]
+    shapes = {
+        "input_filters": (manifest["dim_x"], factors),
+        "output_filters": (manifest["dim_y"], factors),
+        "within_pool": (factors, pooled),
+        "across_pool": (pooled, manifest["n_mappings"]),
+    }
+    for name, matrix in matrices.items():
+        if matrix.shape != shapes[name]:
+            raise FormatError(
+                f"{name}.wmat has shape {matrix.shape}, model.json gives {shapes[name]}"
+            )
+    try:
+        return GatedModel(
+            *(matrices.get(name) for name in CHECKPOINT_MATRICES),
+            nonlinearity=manifest["nonlinearity"],
+            tied=tied,
+            pooling_mode=manifest["pooling_mode"],
+            gate_gain=manifest["gate_gain"],
+        )
+    except (TypeError, ValueError) as error:  # nonlinearity or gate_gain
+        raise FormatError(f"model.json: {error}") from None

@@ -1,10 +1,12 @@
-"""Image patches as flat vectors with explicit contrast-normalization state."""
+"""Image patches as flat vectors with explicit contrast-normalization state,
+and ``as_rows``, the one gate through which image and feature rows enter the
+models, detectors and classifiers."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DimensionError
 
 # A patch is "normalized" when its mean is zero and its L2 norm is one.
 NORMALIZATION_TOL = 1e-10
@@ -51,6 +53,37 @@ class ImagePatch:
     @property
     def dim(self) -> int:
         return self.values.size
+
+
+def as_rows(data, dim, name) -> np.ndarray:
+    """``data`` as float64 ``(n, dim)`` rows: an ``ImagePatch`` or a 1-D
+    array is one row, a 2-D array one row per row.
+
+    ``DimensionError`` for another rank or a width other than ``dim`` (any
+    width when ``dim`` is None); ``DataError`` naming the first row that
+    holds a NaN or an infinity.  One whole-array test finds that the rows
+    are finite; the bad row is looked for only when it fails.  A float64
+    2-D array comes back as the same object, so ``ys is xs`` still holds
+    after both pass the gate.
+    """
+    values = np.asarray(data.values if isinstance(data, ImagePatch) else data, np.float64)
+    rows = values[None, :] if values.ndim == 1 else values
+    if rows.ndim != 2 or (dim is not None and rows.shape[1] != dim):
+        width = "rows" if dim is None else f"rows of width {dim}"
+        raise DimensionError(f"{name} has shape {values.shape}, expected {width}")
+    if not np.isfinite(rows).all():
+        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise DataError(f"{name} row {row} holds non-finite values")
+    return rows
+
+
+def as_row(data, dim, name) -> np.ndarray:
+    """One image, an ``ImagePatch`` or a 1-D array, through ``as_rows``: a
+    float64 vector of length ``dim``; ``DimensionError`` for another rank."""
+    values = data.values if isinstance(data, ImagePatch) else np.asarray(data, np.float64)
+    if values.ndim != 1:
+        raise DimensionError(f"{name} must be one 1-D image, got shape {values.shape}")
+    return as_rows(values, dim, name)[0]
 
 
 def contrast_normalize(raw) -> ImagePatch:

@@ -31,27 +31,33 @@ def save_matrix(path, matrix) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a WMAT matrix; FormatError, naming the file, for a short or
+    foreign header, a payload of the wrong length or a non-finite entry."""
+    name = Path(path).name
     with open(path, "rb") as handle:
         header = handle.read(WMAT_HEADER.size)
         if len(header) < WMAT_HEADER.size:
             raise FormatError(
-                f"truncated WMAT header: expected {WMAT_HEADER.size} bytes, "
+                f"{name}: truncated WMAT header: expected {WMAT_HEADER.size} bytes, "
                 f"got {len(header)} (offset 0)"
             )
         magic, version, rows, cols = WMAT_HEADER.unpack(header)
         if magic != WMAT_MAGIC:
-            raise FormatError(f"bad WMAT magic {magic!r} at offset 0")
+            raise FormatError(f"{name}: bad WMAT magic {magic!r} at offset 0")
         if version != WMAT_VERSION:
-            raise FormatError(f"unsupported WMAT version {version} at offset 4")
+            raise FormatError(f"{name}: unsupported WMAT version {version} at offset 4")
         payload = handle.read()
     expected = rows * cols * 8
     if len(payload) != expected:
         raise FormatError(
-            f"WMAT payload length {len(payload)} != expected {expected} "
+            f"{name}: WMAT payload length {len(payload)} != expected {expected} "
             f"(offset {WMAT_HEADER.size})"
         )
-    data = np.frombuffer(payload, dtype="<f8")
-    return data.reshape(rows, cols).astype(np.float64)
+    matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{name} row {bad[0]}: holds a non-finite entry")
+    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,6 @@ EXACT_ORTHOGONALITY_TOL = 1e-6
 # Tolerance for algebraic identities in double precision.
 ALGEBRAIC_TOL = 1e-8
 
-# Interpolated constructors must stay below this residual.
-APPROX_RESIDUAL_LIMIT = 0.2
-
 
 def wrap_angle(angle):
     """Map an angle to the interval (-pi, pi], elementwise on an array; a

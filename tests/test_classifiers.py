@@ -195,6 +195,12 @@ class TestKnn:
         with pytest.raises(DataError, match="training features"):
             classify_knn(train, np.array([0, 1]), np.array([[0.5, 0.0]]), k=1)
 
+    def test_query_width_off_the_training_width_rejected(self):
+        train = np.zeros((3, 4))
+        for query in (np.zeros((2, 5)), np.zeros((2, 3))):
+            with pytest.raises(DimensionError, match="k-NN query features"):
+                classify_knn(train, np.arange(3), query, k=1)
+
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             classify_knn(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), 1)
@@ -318,3 +324,12 @@ class TestPca:
         features[0, 2] = np.nan
         with pytest.raises(DataError, match="PCA features"):
             fit_pca(features, 2)
+
+    def test_transform_rejects_a_nan_row_and_a_wrong_width(self):
+        projector = fit_pca(np.random.default_rng(11).standard_normal((6, 3)), 2)
+        rows = np.ones((4, 3))
+        rows[1, 0] = np.nan
+        with pytest.raises(DataError, match="^features to project row 1 holds non-finite"):
+            projector.transform(rows)
+        with pytest.raises(DimensionError):
+            projector.transform(np.ones((4, 2)))

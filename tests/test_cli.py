@@ -1,6 +1,7 @@
 """CLI smoke tests: exit codes, artifact creation, config plumbing."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -95,6 +96,9 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ),
         # a cyclic shift needs at least two pixels
         ("oracle", ["--set", "dim=1"]),
+        # band pooling sums factors 2k and 2k+1; checked before any data is read
+        ("fig4", ["--set", "n_factors=63"]),
+        ("train --data missing", ["--set", "n_factors=7"]),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
@@ -139,6 +143,22 @@ def test_improbable_dot_draws_exit_2_before_any_draw(
     err = capsys.readouterr().err
     assert err.startswith("configuration error: dot images need a density")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig4", "train --data absent"])
+def test_odd_factor_count_under_band_pooling_exits_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_draw(*args):
+        raise AssertionError("drew dots")
+
+    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    options = ["--set", "n_factors=41"]
+    code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: band pooling needs an even n_factors, got 41\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -294,6 +314,52 @@ def test_analyze_bank_with_a_bad_file_exits_1_with_one_line(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _edit_manifest(edit):
+    def corrupt(path):
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+def _nan_entry(path):
+    matrix = load_matrix(path)
+    matrix[5, 2] = np.nan
+    save_matrix(path, matrix)
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("input_filters.wmat", _nan_entry, "input_filters.wmat row 5: holds a non-finite"),
+        ("model.json", lambda path: path.write_text("{"), "does not hold a JSON object"),
+        ("model.json", _edit_manifest(lambda m: m.pop("n_mappings")), "lacks n_mappings"),
+        ("model.json", _edit_manifest(lambda m: m.update(tied="false")), "tied is 'false'"),
+        (
+            "model.json",
+            _edit_manifest(lambda m: m.update(n_factors=6)),
+            "input_filters.wmat has shape (256, 4), model.json gives (256, 6)",
+        ),
+    ],
+    ids=["nan-input-filters", "not-json", "missing-key", "tied-string", "shape-off"],
+)
+def test_bad_checkpoint_exits_1_with_one_line(
+    tmp_path, capsys, command, name, corrupt, message
+):
+    save_model(GatedModel.initialize(256, 256, 4, 2, seed=1), tmp_path / "in")
+    corrupt(tmp_path / "in" / name)
+    args = [command, "--model", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
+    if command == "classify":
+        args += ["--set", "per_class=20"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

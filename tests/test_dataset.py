@@ -605,6 +605,20 @@ class TestWmat:
         with pytest.raises(FormatError, match="8 != expected 32"):
             load_matrix(path)
 
+    def test_header_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "short.wmat"
+        path.write_bytes(b"WMAT")
+        with pytest.raises(FormatError, match="^short.wmat: truncated WMAT header"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_naming_file_and_row(self, tmp_path, bad):
+        matrix = np.ones((4, 3))
+        matrix[2, 1] = bad
+        save_matrix(tmp_path / "m.wmat", matrix)
+        with pytest.raises(FormatError, match=r"^m\.wmat row 2: holds a non-finite entry$"):
+            load_matrix(tmp_path / "m.wmat")
+
 
 def craft_idx_pair(tmp_path, images, labels):
     images = np.asarray(images, dtype=np.uint8)

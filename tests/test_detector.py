@@ -311,6 +311,56 @@ class TestSequenceDetector:
             sequence_detector_response(block, 0.1, [zero_patch(16)])
 
 
+class TestInputGate:
+    """Every detector entry point reads its images through ``patches.as_rows``:
+    a NaN or infinite pixel raises DataError naming the row (or the frame),
+    a wrong width or rank DimensionError."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_project(self, block, bad):
+        x = np.random.default_rng(63).standard_normal(16)
+        project(block, x)
+        x[7] = bad
+        with pytest.raises(DataError, match="^x row 0 holds non-finite values$"):
+            project(block, x)
+        with pytest.raises(DataError, match="^x row 0"):
+            subspace_angle_cos(block, np.ones(16), x)
+        with pytest.raises(DimensionError):
+            project(block, np.ones(15))
+        with pytest.raises(DimensionError):
+            project(block, np.ones((1, 16)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sequence_detector_response(self, block, bad):
+        frames = list(np.random.default_rng(64).standard_normal((3, 16)))
+        sequence_detector_response(block, 0.3, frames)
+        frames[2][4] = bad
+        with pytest.raises(DataError, match="^frame 2 row 0 holds non-finite values$"):
+            sequence_detector_response(block, 0.3, frames)
+        with pytest.raises(DimensionError):
+            sequence_detector_response(block, 0.3, [np.ones(16), np.ones(17)])
+
+    def test_flagged_patches_with_a_non_finite_pixel(self, block):
+        # the degenerate flag is not verified, so only the gate stops this
+        bad = ImagePatch(np.full(16, np.nan), degenerate=True)
+        good = zero_patch(16)
+        bank = build_bank_from_warp_family([decompose(make_cyclic_shift(16, 3))], [0.0])
+        with pytest.raises(DataError, match="^y row 0"):
+            energy_detector_response(block, 0.2, good, bad)
+        with pytest.raises(DataError, match="^xs row 0"):
+            pooled_code(bank, bad, good)
+
+    def test_batch_rows_name_the_bad_row_and_the_width(self, shift16):
+        bank = build_bank_from_warp_family([shift16], [0.0, np.pi / 2])
+        xs = normalize_rows(np.random.default_rng(65).standard_normal((4, 16)))[0]
+        ys = xs.copy()
+        ys[3, 0] = np.nan
+        with pytest.raises(DataError, match="^ys row 3 holds non-finite values$"):
+            batch_pooled_responses(bank, xs, ys)
+        with pytest.raises(DimensionError):
+            batch_pooled_responses(bank, xs, xs[:, :15])
+
+
 def per_detector_loop(bank):
     """The reference bank of one filter pair per detector: x through its
     block's basis rotated by its angle, (c b_r - s b_i, s b_r + c b_i) or

@@ -1,5 +1,6 @@
 """Tests for the gated autoencoder and energy model."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from warpcode.errors import (
     DataError,
     DimensionError,
     DivergenceError,
+    FormatError,
     ModelConfigError,
 )
 from warpcode.experiments import FIG2_DEFAULTS, fit_gated_model
@@ -36,6 +38,7 @@ from warpcode.model import (
     _one_sided_loss_and_grads,
 )
 from warpcode.patches import ImagePatch, contrast_normalize
+from warpcode.storage import load_matrix, save_matrix
 
 
 def identity_model(dim, nonlinearity="identity"):
@@ -654,6 +657,150 @@ class TestCheckpointing:
         loaded = load_model(tmp_path / "tied")
         assert loaded.tied
         assert loaded.output_filters is loaded.input_filters
+
+
+def _set_key(key, value):
+    def edit(manifest):
+        manifest[key] = value
+
+    return edit
+
+
+def _drop_key(key):
+    def edit(manifest):
+        del manifest[key]
+
+    return edit
+
+
+# model.json edits a checkpoint of GatedModel.initialize(9, 9, 6, 3) must refuse
+BAD_MANIFESTS = {
+    "missing-tied": (_drop_key("tied"), "model.json lacks tied"),
+    "missing-dims": (_drop_key("dim_x"), "model.json lacks dim_x"),
+    "tied-as-a-string": (_set_key("tied", "false"), "tied is 'false', not true or false"),
+    "tied-as-a-number": (_set_key("tied", 0), "tied is 0, not true or false"),
+    "factor-count-off": (
+        _set_key("n_factors", 8),
+        r"input_filters.wmat has shape \(9, 6\), model.json gives \(9, 8\)",
+    ),
+    "mapping-count-off": (
+        _set_key("n_mappings", 4),
+        r"across_pool.wmat has shape \(3, 3\), model.json gives \(3, 4\)",
+    ),
+    "output-dim-off": (
+        _set_key("dim_y", 10),
+        r"output_filters.wmat has shape \(9, 6\), model.json gives \(10, 6\)",
+    ),
+    "unknown-nonlinearity": (_set_key("nonlinearity", "relu"), "unknown nonlinearity"),
+    "negative-gate-gain": (_set_key("gate_gain", -1.0), "gate_gain must be positive"),
+}
+
+
+class TestCheckpointFiles:
+    @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
+    def test_load_rejects_a_bad_manifest(self, tmp_path, case):
+        edit, message = BAD_MANIFESTS[case]
+        save_model(GatedModel.initialize(9, 9, 6, 3, seed=25), tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        edit(manifest)
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=message):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("raw", [b'{"dim_x": 9,', b"[9, 9, 6, 3]", b'"tied"', b"\xff{}"])
+    def test_load_rejects_a_manifest_that_is_not_a_json_object(self, tmp_path, raw):
+        save_model(GatedModel.initialize(9, 9, 6, 3, seed=26), tmp_path)
+        (tmp_path / "model.json").write_bytes(raw)
+        with pytest.raises(FormatError, match="model.json does not hold a JSON object"):
+            load_model(tmp_path)
+
+    def test_tied_checkpoint_needs_equal_dims(self, tmp_path):
+        save_model(GatedModel.initialize(6, 6, 4, 2, tied=True, seed=27), tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        manifest["dim_y"] = 7
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="tied model needs dim_x == dim_y"):
+            load_model(tmp_path)
+
+    def test_checkpoint_without_gate_gain_loads_with_gain_one(self, tmp_path):
+        save_model(GatedModel.initialize(9, 9, 6, 3, seed=28, gate_gain=81.0), tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        del manifest["gate_gain"]
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        assert load_model(tmp_path).gate_gain == 1.0
+
+    @pytest.mark.parametrize("name", ["input_filters", "output_filters", "across_pool"])
+    def test_load_rejects_a_non_finite_matrix(self, tmp_path, name):
+        save_model(GatedModel.initialize(9, 9, 6, 3, seed=29), tmp_path)
+        path = tmp_path / f"{name}.wmat"
+        matrix = load_matrix(path)
+        matrix[2, 1] = np.nan
+        save_matrix(path, matrix)
+        with pytest.raises(FormatError, match=f"{name}.wmat row 2: holds a non-finite"):
+            load_model(tmp_path)
+
+
+class TestInputGate:
+    """Every model entry point reads its images through ``patches.as_rows``:
+    a NaN or infinite pixel raises DataError naming the row, a wrong width
+    DimensionError."""
+
+    @staticmethod
+    def entry_points(model):
+        z = np.full(model.n_mappings, 0.5)
+        return {
+            "infer_mappings x": lambda rows: infer_mappings(model, rows, np.ones((len(rows), 8))),
+            "infer_mappings y": lambda rows: infer_mappings(model, np.ones((len(rows), 8)), rows),
+            "reconstruct": lambda rows: reconstruct(model, rows, z),
+            "image_codes": lambda rows: image_codes(model, rows),
+            "loss_and_gradient": lambda rows: loss_and_gradient(model, rows, rows),
+        }
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("infer_mappings x", "x"),
+            ("infer_mappings y", "y"),
+            ("reconstruct", "x"),
+            ("image_codes", "xs"),
+            ("loss_and_gradient", "xs"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_and_wrong_width_rejected(self, entry, name, bad):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=30)
+        call = self.entry_points(model)[entry]
+        rows = np.random.default_rng(31).standard_normal((4, 8))
+        call(rows)
+        rows[2, 5] = bad
+        with pytest.raises(DataError, match=f"^{name} row 2 holds non-finite values$"):
+            call(rows)
+        with pytest.raises(DataError, match=f"^{name} row 0 holds non-finite values$"):
+            call(rows[2])
+        with pytest.raises(DimensionError):
+            call(np.zeros((4, 9)))
+
+    def test_non_finite_mapping_activity_rejected(self):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=32)
+        with pytest.raises(DataError, match="z row 0"):
+            reconstruct(model, np.ones(8), [0.5, np.nan])
+        with pytest.raises(DimensionError):
+            reconstruct(model, np.ones(8), [0.5, 0.5, 0.5])
+
+    def test_energy_model_and_sequences_rejected_on_a_non_finite_pixel(self):
+        x = np.ones(4)
+        with pytest.raises(DataError):
+            energy_forward(np.eye(8), np.eye(8), x, np.array([0.0, np.nan, 0.0, 0.0]))
+        model = GatedModel.initialize(8, 8, 4, 2, tied=True, seed=33)
+        with pytest.raises(DataError):
+            infer_sequence(model, [x, np.array([np.inf, 0.0, 0.0, 0.0])])
+
+    def test_training_rows_of_the_wrong_width_rejected_before_the_first_step(self):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=34)
+        before = model.input_filters.copy()
+        with pytest.raises(DimensionError, match="ys has shape"):
+            train(model, (np.ones((5, 8)), np.ones((5, 9))), TrainConfig(0.3, 1, 5))
+        np.testing.assert_array_equal(model.input_filters, before)
 
 
 class TestImageCodes:
