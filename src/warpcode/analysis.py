@@ -1,10 +1,11 @@
 """Quantitative checks of learned filter structure.
 
-Filter pairs: the band pooling layout reads filters two at a time, so a
-"pair" is two adjacent columns (2k, 2k+1).  A trained pair is *in
-quadrature* when the output-side pair equals the input-side pair rotated
-within its own two-dimensional span; ``quadrature_pair_score`` fits that
-rotation in closed form and reports the explained fraction.
+Filter pairs: a "pair" is one pair of the band layout, which
+``model.band_pairs`` states.  A trained pair is *in quadrature* when the
+output-side pair equals the input-side pair rotated within its own
+two-dimensional span; ``quadrature_pair_score`` fits that rotation in
+closed form and reports the explained fraction.  The pair functions take
+stacks; one pair is a stack of one, equal to its row of any stack bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,21 +14,32 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .model import band_pairs
 from .storage import write_csv, write_pgm
 
 QUADRATURE_CSV_HEADER = ["pair_index", "theta_hat", "fit_r2", "spectral_overlap"]
 
 
-def _as_pair(filters, name):
-    pair = np.asarray(filters, dtype=np.float64)
-    if pair.ndim != 2 or pair.shape[1] != 2:
-        raise DimensionError(f"{name} must be a (dim, 2) filter pair")
-    if not pair.any():
-        raise DataError(f"{name} is all zero")
-    return pair
+def _pair_stack(pairs, name):
+    """``pairs``, a ``(dim, 2)`` pair or a ``(k, dim, 2)`` stack, as a C-contiguous
+    stack (members then reduce in one order), and whether it was one pair."""
+    stack = np.ascontiguousarray(pairs, dtype=np.float64)
+    single = stack.ndim == 2
+    stack = stack[None] if single else stack
+    if stack.ndim != 3 or stack.shape[2] != 2:
+        raise DimensionError(f"{name} must be a (dim, 2) filter pair or a (k, dim, 2) stack")
+    zero = np.flatnonzero(~stack.any(axis=(1, 2)))
+    if zero.size:
+        raise DataError(f"{name} {zero[0]} is all zero")
+    return stack, single
 
 
-def quadrature_pair_score(u_pair, v_pair) -> Tuple[float, float]:
+def _row_dots(a, b):
+    # one BLAS ddot per row: the call of a 1-D ``a @ b`` and of np.linalg.norm
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def quadrature_pair_score(u_pair, v_pair):
     """Best rotation angle carrying the u-pair onto the v-pair, plus fit.
 
     Minimizes ``|v_pair - u_pair R(theta)|_F`` over the plane rotation R;
@@ -36,41 +48,47 @@ def quadrature_pair_score(u_pair, v_pair) -> Tuple[float, float]:
     u-pair onto the v-pair: with the u-pair as a ``SubspaceBlock``'s basis,
     v = ``rotated_basis(-theta)``.  ``fit_r2`` is the explained fraction of
     the v-pair's energy, clamped to [0, 1] (orthogonal v-pairs score 0).
+    Floats for two ``(dim, 2)`` pairs, length-k arrays for two ``(k, dim,
+    2)`` stacks; DataError for an all-zero pair.
     """
-    u = _as_pair(u_pair, "u_pair")
-    v = _as_pair(v_pair, "v_pair")
-    if u.shape[0] != v.shape[0]:
-        raise DimensionError("filter pairs have different lengths")
-    a = v[:, 0] @ u[:, 0] + v[:, 1] @ u[:, 1]
-    b = v[:, 0] @ u[:, 1] - v[:, 1] @ u[:, 0]
-    theta = float(np.arctan2(b, a))
-    v_energy = float(np.sum(v * v))
-    residual = v_energy - 2.0 * float(np.hypot(a, b)) + float(np.sum(u * u))
-    fit_r2 = float(np.clip(1.0 - residual / v_energy, 0.0, 1.0))
+    u, single = _pair_stack(u_pair, "u_pair")
+    v, _ = _pair_stack(v_pair, "v_pair")
+    if u.shape != v.shape:
+        raise DimensionError(f"filter pairs differ in shape: {u.shape} and {v.shape}")
+    (u0, u1), (v0, v1) = u.transpose(2, 0, 1), v.transpose(2, 0, 1)
+    a = np.sum(v0 * u0 + v1 * u1, axis=1)
+    b = np.sum(v0 * u1 - v1 * u0, axis=1)
+    theta = np.arctan2(b, a)
+    v_energy = np.sum(v * v, axis=(1, 2))
+    residual = v_energy - 2.0 * np.hypot(a, b) + np.sum(u * u, axis=(1, 2))
+    fit_r2 = np.clip(1.0 - residual / v_energy, 0.0, 1.0)
+    if single:
+        return float(theta[0]), float(fit_r2[0])
     return theta, fit_r2
 
 
-def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None) -> float:
+def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None):
     """Cosine similarity of DFT magnitude spectra.
 
-    With ``geometry`` = (width, height), filters are reshaped row-major and
-    the 2-D transform is used; magnitudes are compared flattened.  Equal to
-    1 for any pair related by a cyclic shift.
+    A float for two filters, an array for two stacks ``(..., dim)``.  With
+    ``geometry`` = (width, height), filters are reshaped row-major and the
+    2-D transform is used; magnitudes are compared flattened.  Equal to 1
+    for any pair related by a cyclic shift; DataError for a zero filter.
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    # contiguous filters give contiguous spectra, one unit-stride ddot each
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
-        raise DimensionError("filters have different lengths")
-    if not u.any() or not v.any():
+        raise DimensionError(f"filters differ in shape: {u.shape} and {v.shape}")
+    if not (u.any(axis=-1).all() and v.any(axis=-1).all()):
         raise DataError("spectral overlap of a zero filter")
-    if geometry is None:
-        mag_u = np.abs(np.fft.fft(u))
-        mag_v = np.abs(np.fft.fft(v))
-    else:
-        width, height = geometry
-        mag_u = np.abs(np.fft.fft2(u.reshape(height, width))).ravel()
-        mag_v = np.abs(np.fft.fft2(v.reshape(height, width))).ravel()
-    return float(mag_u @ mag_v / (np.linalg.norm(mag_u) * np.linalg.norm(mag_v)))
+    width, height = geometry or (u.shape[-1], 1)  # one row: the 1-D transform
+    grid = u.shape[:-1] + (height, width)
+    mag_u = np.abs(np.fft.fft2(u.reshape(grid))).reshape(u.shape)
+    mag_v = np.abs(np.fft.fft2(v.reshape(grid))).reshape(v.shape)
+    norms = np.sqrt(_row_dots(mag_u, mag_u)) * np.sqrt(_row_dots(mag_v, mag_v))
+    overlap = _row_dots(mag_u, mag_v) / norms
+    return float(overlap) if u.ndim == 1 else overlap
 
 
 # ---------------------------------------------------------------------------
@@ -247,45 +265,34 @@ def score_filter_bank_pairs(
     v = np.asarray(output_filters, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionError("filter banks differ in shape")
-    n_pairs = u.shape[1] // 2
-    indices, thetas, fits, overlaps = [], [], [], []
-    for k in range(n_pairs):
-        u_pair = u[:, 2 * k : 2 * k + 2]
-        v_pair = v[:, 2 * k : 2 * k + 2]
-        theta, fit = quadrature_pair_score(u_pair, v_pair)
-        overlap = 0.5 * (
-            spectral_overlap(u_pair[:, 0], v_pair[:, 0], geometry)
-            + spectral_overlap(u_pair[:, 1], v_pair[:, 1], geometry)
-        )
-        indices.append(k)
-        thetas.append(theta)
-        fits.append(fit)
-        overlaps.append(overlap)
-    return QuadratureReport(
-        np.array(indices), np.array(thetas), np.array(fits), np.array(overlaps)
-    )
+    even = u.shape[1] - u.shape[1] % 2  # an odd trailing column is not scored
+    u_pairs, v_pairs = band_pairs(u[:, :even]), band_pairs(v[:, :even])
+    theta, fit = quadrature_pair_score(u_pairs, v_pairs)
+    overlap = spectral_overlap(u_pairs.transpose(0, 2, 1), v_pairs.transpose(0, 2, 1), geometry)
+    return QuadratureReport(np.arange(theta.size), theta, fit, overlap.mean(axis=1))
 
 
-def pair_rotation_invariance_score(pair, geometry) -> float:
+def pair_rotation_invariance_score(pair, geometry):
     """How rotation-invariant a filter pair's joint power spectrum is.
 
     Rotation-subspace pairs have an angularly smeared joint spectrum that
     survives an exact quarter-turn of the grid; translation (Fourier) pairs
     concentrate on one frequency and do not.  Returns the cosine overlap of
-    the pair's summed magnitude spectrum with its quarter-turn rotation.
+    the pair's summed magnitude spectrum with its quarter-turn rotation: a
+    float for one ``(dim, 2)`` pair, an array for a ``(k, dim, 2)`` stack.
     """
-    pair = _as_pair(pair, "pair")
+    pairs, single = _pair_stack(pair, "pair")
     width, height = geometry
     if width != height:
         raise DimensionError("rotation tagging needs square patches")
-    power = sum(
-        np.abs(np.fft.fft2(pair[:, j].reshape(height, width))) ** 2 for j in (0, 1)
-    )
-    turned = np.rot90(power)
-    return float(
-        (power * turned).sum()
-        / max(np.linalg.norm(power) * np.linalg.norm(turned), 1e-300)
-    )
+    filters = np.ascontiguousarray(pairs.transpose(0, 2, 1)).reshape(-1, 2, height, width)
+    power = np.sum(np.abs(np.fft.fft2(filters)) ** 2, axis=1)
+    turned = np.rot90(power, axes=(1, 2))
+    # a quarter turn permutes the spectrum, so both have the same norm
+    flat = power.reshape(power.shape[0], -1)
+    norm = np.sqrt(_row_dots(flat, flat))
+    score = np.sum(power * turned, axis=(1, 2)) / np.maximum(norm * norm, 1e-300)
+    return float(score[0]) if single else score
 
 
 def export_filter_grid(filters, geometry, path, n_columns=None) -> np.ndarray:
@@ -305,19 +312,14 @@ def export_filter_grid(filters, geometry, path, n_columns=None) -> np.ndarray:
     if n_columns is None:
         n_columns = int(np.ceil(np.sqrt(count)))
     n_rows = int(np.ceil(count / n_columns))
-    image = np.zeros(
-        (n_rows * (height + 1) + 1, n_columns * (width + 1) + 1), dtype=np.uint8
-    )
-    for index in range(count):
-        tile = filters[index].reshape(height, width)
-        low, high = float(tile.min()), float(tile.max())
-        if high - low < 1e-12:
-            scaled = np.full(tile.shape, 128, dtype=np.uint8)
-        else:
-            scaled = np.round((tile - low) / (high - low) * 255.0).astype(np.uint8)
-        row, col = divmod(index, n_columns)
-        top = row * (height + 1) + 1
-        left = col * (width + 1) + 1
-        image[top : top + height, left : left + width] = scaled
+    low = filters.min(axis=1, keepdims=True)
+    span = filters.max(axis=1, keepdims=True) - low
+    flat = span < 1e-12
+    scaled = np.where(flat, 128, np.round((filters - low) / np.where(flat, 1.0, span) * 255.0))
+    # one cell per tile, its separator above and to the left
+    cells = np.zeros((n_rows * n_columns, height + 1, width + 1), dtype=np.uint8)
+    cells[:count, 1:, 1:] = scaled.astype(np.uint8).reshape(count, height, width)
+    grid = cells.reshape(n_rows, n_columns, height + 1, width + 1).transpose(0, 2, 1, 3)
+    image = np.pad(grid.reshape(n_rows * (height + 1), -1), ((0, 1), (0, 1)))
     write_pgm(path, image)
     return image

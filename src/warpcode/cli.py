@@ -117,7 +117,7 @@ def _cmd_gen(args):
             p["n_clips"],
             geometry,
             p["n_frames"],
-            [("cyclic_shift", (1, p["n_frames"]))],
+            experiments.FIG3_SCHEDULES["shift"](p["n_frames"]),
             density=p["density"],
             seed=cfg.seed,
         )

@@ -38,8 +38,11 @@ from .dataset import (
 from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
 from .errors import ConfigError, DataError, DimensionError, LockError
 from .model import (
+    NONLINEARITIES,
+    POOLINGS,
     GatedModel,
     TrainConfig,
+    band_pairs,
     image_codes,
     pooled_products,
     standardizing_gain,
@@ -83,6 +86,12 @@ FIG3_DEFAULTS = {
     "batch_size": 10,
     "learning_rate": 0.5,
     "momentum": 0.9,
+}
+
+# fig3's variants: the gen_videos schedule of n frames
+FIG3_SCHEDULES = {
+    "shift": lambda n: [("cyclic_shift", (1, n))],
+    "rotate_then_shift": lambda n: [("rotation", (1, n // 2)), ("cyclic_shift", (n // 2 + 1, n))],
 }
 
 FIG4_DEFAULTS = {
@@ -146,6 +155,12 @@ EXPERIMENT_DEFAULTS = {
 }
 
 
+# The names each string option takes, from the table that reads them
+OPTION_CHOICES = dict(
+    family=PAIR_FAMILIES, variant=FIG3_SCHEDULES, pooling=POOLINGS, nonlinearity=NONLINEARITIES
+)
+
+
 def _coerce(text: str):
     lowered = text.strip()
     if lowered.lower() in ("true", "false"):
@@ -184,7 +199,7 @@ def _option_error(key, default, value, least=1) -> Optional[str]:
     Options take the type of their default; a bool is not an int, an int
     may stand for a float and a tuple is one of ints.  Integers are at
     least ``least`` (``seed`` at least 0), floats finite and at least 0,
-    ``density`` lies in (0, 1) and ``family`` is a ``gen_dot_pairs`` family.
+    ``density`` lies in (0, 1) and a string is a name in ``OPTION_CHOICES``.
     """
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
@@ -202,9 +217,9 @@ def _option_error(key, default, value, least=1) -> Optional[str]:
     if isinstance(default, tuple):
         ok = isinstance(value, tuple) and all(_is_int(v) and v >= 1 for v in value)
         return None if ok else "a comma-separated list of integers >= 1"
-    if key == "family":
-        return None if value in PAIR_FAMILIES else f"one of {', '.join(PAIR_FAMILIES)}"
-    return None if isinstance(value, str) else "a string"
+    choices = OPTION_CHOICES[key]
+    ok = isinstance(value, str) and value in choices
+    return None if ok else f"one of {', '.join(choices)}"
 
 
 def parse_config_file(path) -> Dict[str, object]:
@@ -443,15 +458,10 @@ def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
         energy = pair_energies(model, data.xs, data.ys)
 
         write_loss_curve(out("loss_curve.csv"), losses)
-        nontrivial = report.nontrivial()
-        write_csv(
-            out("quadrature.csv"),
-            QUADRATURE_CSV_HEADER + ["pair_energy", "nontrivial"],
-            [
-                row + (energy[i], int(nontrivial[i]))
-                for i, row in enumerate(report.rows())
-            ],
-        )
+        header = QUADRATURE_CSV_HEADER + ["pair_energy", "nontrivial"]
+        extra = zip(energy, report.nontrivial().astype(int))
+        rows = [row + more for row, more in zip(report.rows(), extra)]
+        write_csv(out("quadrature.csv"), header, rows)
         for name, bank in (
             ("filters_input.pgm", model.input_filters),
             ("filters_output.pgm", model.output_filters),
@@ -460,16 +470,10 @@ def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
 
         family_tags = None
         if p["family"] == "mixed":
-            family_tags = []
-            rows = []
-            for k in range(model.n_factors // 2):
-                pair = model.input_filters[:, 2 * k : 2 * k + 2]
-                score = pair_rotation_invariance_score(pair, geometry)
-                tag = "rotation" if score >= 0.3 else "translation"
-                family_tags.append(tag)
-                rows.append((k, score, tag))
-            header = ["pair_index", "rotation_score", "tag"]
-            write_csv(out("family_tags.csv"), header, rows)
+            scores = pair_rotation_invariance_score(band_pairs(model.input_filters), geometry)
+            family_tags = np.where(scores >= 0.3, "rotation", "translation").tolist()
+            rows = zip(range(scores.size), scores, family_tags)
+            write_csv(out("family_tags.csv"), ["pair_index", "rotation_score", "tag"], rows)
     return Fig2Report(report, losses, energy, family_tags, model)
 
 
@@ -504,21 +508,11 @@ class Fig3Report:
         return float((ratios >= ratio).mean())
 
 
-def _fig3_schedule(variant, n_frames):
-    if variant == "shift":
-        return [("cyclic_shift", (1, n_frames))]
-    if variant == "rotate_then_shift":
-        half = n_frames // 2
-        return [("rotation", (1, half)), ("cyclic_shift", (half + 1, n_frames))]
-    raise ConfigError(f"unknown fig3 variant {variant!r}")
-
-
 def run_fig3(cfg: ExperimentConfig) -> Fig3Report:
     p = cfg.params
     geometry = (int(p["width"]), int(p["height"]))
     n_frames = int(p["n_frames"])
-    variant = str(p["variant"])
-    schedule = _fig3_schedule(variant, n_frames)
+    schedule = FIG3_SCHEDULES[p["variant"]](n_frames)
     with _outputs(cfg) as out:
         videos = gen_videos(
             int(p["n_clips"]),
@@ -565,10 +559,8 @@ def run_fig3(cfg: ExperimentConfig) -> Fig3Report:
             )
         # frame grids for the top factors, one row of frames per factor
         order = np.argsort(factor_energy)[::-1][:8]
-        tiles = np.concatenate([frames[f] for f in order])
-        export_filter_grid(
-            tiles, geometry, out("eigenmovie_frames.pgm"), n_columns=n_frames
-        )
+        tiles = frames[order].reshape(-1, frames.shape[2])
+        export_filter_grid(tiles, geometry, out("eigenmovie_frames.pgm"), n_columns=n_frames)
     return Fig3Report(factor_energy, thetas, fits, segment_energy, losses, model)
 
 

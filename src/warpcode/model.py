@@ -41,34 +41,40 @@ from .storage import load_matrix, save_matrix
 DIVERGENCE_LOSS = 1e6
 
 
-def band_pooling(n_factors: int) -> np.ndarray:
-    """Fixed band map summing disjoint adjacent factor pairs.
+def band_pairs(filters) -> np.ndarray:
+    """The band layout: a ``(dim, n)`` filter bank as the ``(n // 2, dim, 2)``
+    view of its pairs, pair k being columns 2k and 2k+1.  Band pooling sums
+    the two products of a pair, meant to span one invariant subspace, and
+    ``warpcode.analysis`` scores pairs.  DimensionError unless ``filters``
+    is 2-D with an even column count."""
+    filters = np.asarray(filters)
+    if filters.ndim != 2 or filters.shape[1] % 2:
+        raise DimensionError(f"band pairs need an even column count, got shape {filters.shape}")
+    return filters.reshape(filters.shape[0], filters.shape[1] // 2, 2).transpose(1, 0, 2)
 
-    Column k pools factors 2k and 2k+1 (the two-filters-per-subspace
-    layout), so each pooled unit reads exactly one filter pair and training
-    pressure drives that pair to span one invariant subspace.
-    """
+
+def band_pooling(n_factors: int) -> np.ndarray:
+    """Fixed band map: column k sums the two factors of pair k of
+    ``band_pairs``, so each pooled unit reads exactly one filter pair and
+    training pressure drives that pair to span one invariant subspace."""
     if n_factors % 2:
         raise ModelConfigError("band pooling needs an even factor count")
-    pairs = n_factors // 2
-    pool = np.zeros((n_factors, pairs))
-    pool[2 * np.arange(pairs), np.arange(pairs)] = 1.0
-    pool[2 * np.arange(pairs) + 1, np.arange(pairs)] = 1.0
-    return pool
+    return np.repeat(np.eye(n_factors // 2), 2, axis=0)
 
 
-def _nonlinearity(name):
-    if name == "sigmoid":
-        return expit
-    if name == "identity":
-        return lambda a: a
-    raise ModelConfigError(f"unknown nonlinearity {name!r}")
+# The names GatedModel accepts: within-pool maps, and gate nonlinearities
+# with their derivatives written in terms of their outputs
+POOLINGS = {"band": band_pooling, "identity": np.eye}
+NONLINEARITIES = {
+    "sigmoid": (expit, lambda z: z * (1.0 - z)),
+    "identity": (lambda a: a, np.ones_like),
+}
 
 
-def _nonlinearity_derivative(name, z):
-    if name == "sigmoid":
-        return z * (1.0 - z)
-    return np.ones_like(z)
+def _named(table, name, what):
+    if name not in table:
+        raise ModelConfigError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 class GatedModel:
@@ -103,8 +109,9 @@ class GatedModel:
         self.within_pool = np.array(within_pool, dtype=np.float64)
         self.across_pool = np.array(across_pool, dtype=np.float64)
         self.nonlinearity = nonlinearity
-        _nonlinearity(nonlinearity)  # validate early
         self.pooling_mode = pooling_mode
+        _named(NONLINEARITIES, nonlinearity, "nonlinearity")
+        _named(POOLINGS, pooling_mode, "pooling mode")
         if self.input_filters.shape[1] != self.within_pool.shape[0]:
             raise DimensionError("within_pool rows must match the factor count")
         if self.within_pool.shape[1] != self.across_pool.shape[0]:
@@ -155,12 +162,7 @@ class GatedModel:
         rng = np.random.default_rng(seed)
         u = rng.uniform(-scale, scale, size=(dim_x, n_factors))
         v = rng.uniform(-scale, scale, size=(dim_y, n_factors))
-        if pooling == "band":
-            within = band_pooling(n_factors)
-        elif pooling == "identity":
-            within = np.eye(n_factors)
-        else:
-            raise ModelConfigError(f"unknown pooling mode {pooling!r}")
+        within = _named(POOLINGS, pooling, "pooling mode")(n_factors)
         w = rng.uniform(-scale, scale, size=(within.shape[1], n_mappings))
         u /= np.linalg.norm(u, axis=0, keepdims=True)
         v /= np.linalg.norm(v, axis=0, keepdims=True)
@@ -212,16 +214,17 @@ def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
         raise DimensionError("x and y batches differ in length")
     pooled = pooled_products(model, xs, ys, model.within_pool)
     pre = model.gate_gain * pooled @ model.across_pool
-    z = _nonlinearity(model.nonlinearity)(pre)
+    z = NONLINEARITIES[model.nonlinearity][0](pre)
     return z[0] if z.shape[0] == 1 and (isinstance(x, ImagePatch) or np.ndim(x) == 1) else z
 
 
 def reconstruct(model: GatedModel, x, z) -> ImagePatch:
-    """Linear-in-z reconstruction of y given x and mapping activities z."""
-    xs = as_rows(x, model.dim_x, "x")
+    """Linear-in-z reconstruction of y given one image x and mapping
+    activities z."""
+    x = as_row(x, model.dim_x, "x")
     z = as_row(np.ravel(z), model.n_mappings, "z")
     modulation = model.within_pool @ (model.across_pool @ z)
-    values = model.output_filters @ ((xs[0] @ model.input_filters) * modulation)
+    values = model.output_filters @ ((x @ model.input_filters) * modulation)
     return ImagePatch(values)
 
 
@@ -271,7 +274,8 @@ def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain, mirrored=F
     if gain != 1.0:
         a = a * gain
     pre = a @ w
-    z = _nonlinearity(nonlinearity)(pre)
+    function, derivative = NONLINEARITIES[nonlinearity]
+    z = function(pre)
     q = z @ w.T
     m = q @ p.T
     g = fx * m
@@ -286,7 +290,7 @@ def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain, mirrored=F
     d_q = d_m @ p
     d_w = d_q.T @ z
     d_z = d_q @ w
-    d_pre = d_z * _nonlinearity_derivative(nonlinearity, z)
+    d_pre = d_z * derivative(z)
     d_w += a.T @ d_pre
     d_a = d_pre @ w.T
     if gain != 1.0:
@@ -375,13 +379,14 @@ class TrainConfig:
 
 
 def pair_decorrelation_gradient(filters: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum_k (u_{2k} . u_{2k+1})^2`` over a filter bank."""
-    left = filters[:, 0::2]
-    right = filters[:, 1::2]
-    alignment = 2.0 * (left * right).sum(axis=0)
+    """Gradient of ``sum_k (u_{2k} . u_{2k+1})^2``, the squared alignment of
+    each band pair's two filters, over a filter bank."""
+    pairs = band_pairs(filters)
+    alignment = 2.0 * (pairs[..., 0] * pairs[..., 1]).sum(axis=1)[:, None]
     grad = np.empty_like(filters)
-    grad[:, 0::2] = alignment * right
-    grad[:, 1::2] = alignment * left
+    swapped = band_pairs(grad)  # written one side at a time: a reversed view is slow
+    np.multiply(pairs[..., 1], alignment, out=swapped[..., 0])
+    np.multiply(pairs[..., 0], alignment, out=swapped[..., 1])
     return grad
 
 
@@ -541,5 +546,5 @@ def load_model(directory) -> GatedModel:
             pooling_mode=manifest["pooling_mode"],
             gate_gain=manifest["gate_gain"],
         )
-    except (TypeError, ValueError) as error:  # nonlinearity or gate_gain
+    except (TypeError, ValueError) as error:  # a name or gate_gain
         raise FormatError(f"model.json: {error}") from None

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DataError,
     DimensionError,
     OrthogonalityError,
     SingularWarpError,
@@ -52,7 +53,7 @@ class WarpMatrix:
     """A dense square warp with its measured orthogonality defect.
 
     ``orthogonality_residual`` is ``max|L^T L - I|``; it is computed by the
-    constructors, never assumed.
+    constructors, never assumed.  DataError for a NaN or infinite entry.
     """
 
     entries: np.ndarray
@@ -62,6 +63,8 @@ class WarpMatrix:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError(f"warp must be square, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise DataError("warp entries hold a NaN or an infinity")
         entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -72,12 +75,9 @@ class WarpMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "WarpMatrix":
-        entries = np.asarray(entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionError(f"warp must be square, got shape {entries.shape}")
-        gram = entries.T @ entries
-        residual = float(np.abs(gram - np.eye(entries.shape[0])).max())
-        return cls(entries, residual)
+        warp = cls(entries, 0.0)  # checks the shape and the entries first
+        gram = warp.entries.T @ warp.entries
+        return cls(warp.entries, float(np.abs(gram - np.eye(warp.dim)).max()))
 
 
 def make_cyclic_shift(n: int, s: int) -> WarpMatrix:

@@ -14,6 +14,7 @@ from warpcode.analysis import (
     spectral_overlap,
 )
 from warpcode.errors import DataError, DimensionError
+from warpcode.model import band_pairs
 from warpcode.storage import read_pgm
 from warpcode.warp_algebra import SubspaceBlock
 
@@ -366,3 +367,179 @@ class TestRotationTagScore:
             axis=1,
         )
         assert pair_rotation_invariance_score(pair, (n, n)) > 0.3
+
+
+# ---------------------------------------------------------------------------
+# one pair at a time: the per-pair code the stacked functions replaced
+
+
+def reference_quadrature_pair_score(u, v):
+    a = v[:, 0] @ u[:, 0] + v[:, 1] @ u[:, 1]
+    b = v[:, 0] @ u[:, 1] - v[:, 1] @ u[:, 0]
+    theta = float(np.arctan2(b, a))
+    v_energy = float(np.sum(v * v))
+    residual = v_energy - 2.0 * float(np.hypot(a, b)) + float(np.sum(u * u))
+    return theta, float(np.clip(1.0 - residual / v_energy, 0.0, 1.0))
+
+
+def reference_spectral_overlap(u, v, geometry=None):
+    u, v = np.asarray(u).reshape(-1), np.asarray(v).reshape(-1)
+    if geometry is None:
+        mag_u, mag_v = np.abs(np.fft.fft(u)), np.abs(np.fft.fft(v))
+    else:
+        width, height = geometry
+        mag_u = np.abs(np.fft.fft2(u.reshape(height, width))).ravel()
+        mag_v = np.abs(np.fft.fft2(v.reshape(height, width))).ravel()
+    return float(mag_u @ mag_v / (np.linalg.norm(mag_u) * np.linalg.norm(mag_v)))
+
+
+def reference_rotation_score(pair, geometry):
+    width, height = geometry
+    power = sum(
+        np.abs(np.fft.fft2(pair[:, j].reshape(height, width))) ** 2 for j in (0, 1)
+    )
+    turned = np.rot90(power)
+    return float(
+        (power * turned).sum()
+        / max(np.linalg.norm(power) * np.linalg.norm(turned), 1e-300)
+    )
+
+
+def reference_bank_scores(u, v, geometry):
+    """Pair k = columns (2k, 2k+1), scored one pair at a time."""
+    rows = []
+    for k in range(u.shape[1] // 2):
+        u_pair, v_pair = u[:, 2 * k : 2 * k + 2], v[:, 2 * k : 2 * k + 2]
+        theta, fit = reference_quadrature_pair_score(u_pair, v_pair)
+        overlap = 0.5 * (
+            reference_spectral_overlap(u_pair[:, 0], v_pair[:, 0], geometry)
+            + reference_spectral_overlap(u_pair[:, 1], v_pair[:, 1], geometry)
+        )
+        rows.append((k, theta, fit, overlap))
+    return rows
+
+
+def reference_filter_grid(filters, geometry, n_columns):
+    width, height = geometry
+    count = filters.shape[0]
+    n_rows = int(np.ceil(count / n_columns))
+    image = np.zeros(
+        (n_rows * (height + 1) + 1, n_columns * (width + 1) + 1), dtype=np.uint8
+    )
+    for index in range(count):
+        tile = filters[index].reshape(height, width)
+        low, high = float(tile.min()), float(tile.max())
+        if high - low < 1e-12:
+            scaled = np.full(tile.shape, 128, dtype=np.uint8)
+        else:
+            scaled = np.round((tile - low) / (high - low) * 255.0).astype(np.uint8)
+        row, col = divmod(index, n_columns)
+        top = row * (height + 1) + 1
+        left = col * (width + 1) + 1
+        image[top : top + height, left : left + width] = scaled
+    return image
+
+
+def trained_like_banks(n_factors=40, side=13, seed=41):
+    """Two banks whose pairs range from exact quadrature partners to noise."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((side * side, n_factors))
+    u /= np.linalg.norm(u, axis=0)
+    v = np.empty_like(u)
+    for k, pair in enumerate(band_pairs(u)):
+        partner = rotated_partner(pair, rng.uniform(-np.pi, np.pi))
+        noise = rng.standard_normal(pair.shape)
+        band_pairs(v)[k] = partner + (k / n_factors) * noise
+    return u, v
+
+
+class TestStackedPairFunctions:
+    """Each pair function on a stack equals the per-pair reference within
+    1e-12 (sums run in another order), and one pair is its row of any stack
+    bit for bit."""
+
+    @pytest.mark.parametrize("side", [13, 16])
+    def test_quadrature_scores_match_the_reference(self, side):
+        u, v = trained_like_banks(side=side)
+        thetas, fits = quadrature_pair_score(band_pairs(u), band_pairs(v))
+        assert thetas.shape == fits.shape == (20,)
+        for k, (u_pair, v_pair) in enumerate(zip(band_pairs(u), band_pairs(v))):
+            theta, fit = reference_quadrature_pair_score(u_pair, v_pair)
+            assert abs(thetas[k] - theta) <= 1e-12 and abs(fits[k] - fit) <= 1e-12
+            one = quadrature_pair_score(u_pair, v_pair)
+            assert type(one[0]) is float and one == (thetas[k], fits[k])
+
+    @pytest.mark.parametrize("geometry", [None, (13, 13), (16, 16), (12, 10)])
+    def test_spectral_overlaps_match_the_reference(self, geometry):
+        width, height = geometry or (40, 1)
+        rng = np.random.default_rng(43)
+        u = rng.standard_normal((5, 2, width * height))
+        v = rng.standard_normal((5, 2, width * height))
+        overlaps = spectral_overlap(u, v, geometry)
+        assert overlaps.shape == (5, 2)
+        for index in np.ndindex(5, 2):
+            expected = reference_spectral_overlap(u[index], v[index], geometry)
+            assert abs(overlaps[index] - expected) <= 1e-12
+            one = spectral_overlap(u[index], v[index], geometry)
+            assert type(one) is float and one == overlaps[index]
+
+    @pytest.mark.parametrize("side", [13, 16])
+    def test_rotation_scores_match_the_reference(self, side):
+        pairs = band_pairs(trained_like_banks(side=side)[0])
+        scores = pair_rotation_invariance_score(pairs, (side, side))
+        assert scores.shape == (20,)
+        for k, pair in enumerate(pairs):
+            assert abs(scores[k] - reference_rotation_score(pair, (side, side))) <= 1e-12
+            one = pair_rotation_invariance_score(pair, (side, side))
+            assert type(one) is float and one == scores[k]
+
+    def test_bank_scores_match_the_per_pair_loop(self):
+        u, v = trained_like_banks()
+        for columns in (40, 39):  # an odd trailing column is not scored
+            report = score_filter_bank_pairs(u[:, :columns], v[:, :columns], (13, 13))
+            expected = reference_bank_scores(u[:, :columns], v[:, :columns], (13, 13))
+            assert len(report.rows()) == len(expected) == columns // 2
+            for row, want in zip(report.rows(), expected):
+                assert row[0] == want[0]
+                np.testing.assert_allclose(row[1:], want[1:], rtol=0, atol=1e-12)
+
+    def test_a_bank_of_one_column_has_no_pairs(self):
+        report = score_filter_bank_pairs(np.ones((9, 1)), np.ones((9, 1)), (3, 3))
+        assert report.rows() == []
+
+    def test_a_zero_pair_or_column_in_a_stack_rejected(self):
+        u, v = trained_like_banks()
+        pairs = band_pairs(u.copy())
+        pairs[3] = 0.0
+        with pytest.raises(DataError, match="u_pair 3 is all zero"):
+            quadrature_pair_score(pairs, band_pairs(v))
+        with pytest.raises(DataError, match="pair 3 is all zero"):
+            pair_rotation_invariance_score(pairs, (13, 13))
+        bank = v.copy()
+        bank[:, 7] = 0.0
+        with pytest.raises(DataError, match="zero filter"):
+            spectral_overlap(u.T, bank.T)
+        with pytest.raises(DataError, match="zero filter"):
+            score_filter_bank_pairs(u, bank, (13, 13))
+
+    def test_stacks_of_other_shapes_rejected(self):
+        u, v = trained_like_banks()
+        with pytest.raises(DimensionError):
+            quadrature_pair_score(band_pairs(u), band_pairs(v)[:5])
+        with pytest.raises(DimensionError):
+            pair_rotation_invariance_score(u[:, :3], (13, 13))
+        with pytest.raises(DimensionError):
+            spectral_overlap(u.T, v.T[:5])
+
+
+@pytest.mark.parametrize(
+    "count, n_columns", [(1, None), (6, 3), (7, 3), (40, 8), (80, 10)]
+)
+def test_filter_grid_equals_the_per_tile_loop(tmp_path, count, n_columns):
+    filters = np.random.default_rng(count).standard_normal((count, 13 * 13))
+    filters[count // 2] = 0.25  # a flat tile
+    image = export_filter_grid(filters, (13, 13), tmp_path / "g.pgm", n_columns)
+    columns = n_columns or int(np.ceil(np.sqrt(count)))
+    expected = reference_filter_grid(filters, (13, 13), columns)
+    assert image.dtype == np.uint8 and image.tobytes() == expected.tobytes()
+    assert image.shape == expected.shape

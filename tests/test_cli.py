@@ -9,7 +9,7 @@ import pytest
 from warpcode import dataset
 from warpcode.cli import main
 from warpcode.detector import save_bank
-from warpcode.experiments import build_shift_bank
+from warpcode.experiments import OPTION_CHOICES, build_shift_bank
 from warpcode.model import GatedModel, save_model
 from warpcode.storage import load_matrix, read_csv, save_matrix
 
@@ -99,6 +99,11 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         # band pooling sums factors 2k and 2k+1; checked before any data is read
         ("fig4", ["--set", "n_factors=63"]),
         ("train --data missing", ["--set", "n_factors=7"]),
+        # a string option takes the names of the table that reads it
+        ("train --data missing", ["--set", "pooling=foo"]),
+        ("train --data missing", ["--set", "nonlinearity=relu"]),
+        ("fig3", ["--set", "variant=spin"]),
+        ("gen pairs", ["--set", "family=spiral"]),
     ],
 )
 def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
@@ -108,6 +113,9 @@ def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, option
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    key, _, value = options[-1].partition("=")
+    if key in OPTION_CHOICES and value not in OPTION_CHOICES[key]:  # the line names it
+        assert err.startswith(f"configuration error: option {key} must be one of ")
 
 
 @pytest.mark.parametrize("command", ["gen pairs", "gen videos", "fig2", "fig3"])

@@ -24,6 +24,7 @@ from warpcode.model import (
     GatedModel,
     TrainConfig,
     TrainingTrace,
+    band_pairs,
     band_pooling,
     energy_forward,
     image_codes,
@@ -692,6 +693,7 @@ BAD_MANIFESTS = {
         r"output_filters.wmat has shape \(9, 6\), model.json gives \(10, 6\)",
     ),
     "unknown-nonlinearity": (_set_key("nonlinearity", "relu"), "unknown nonlinearity"),
+    "unknown-pooling-mode": (_set_key("pooling_mode", "foo"), "unknown pooling mode 'foo'"),
     "negative-gate-gain": (_set_key("gate_gain", -1.0), "gate_gain must be positive"),
 }
 
@@ -771,14 +773,19 @@ class TestInputGate:
         model = GatedModel.initialize(8, 8, 4, 2, seed=30)
         call = self.entry_points(model)[entry]
         rows = np.random.default_rng(31).standard_normal((4, 8))
-        call(rows)
+        one_image = entry == "reconstruct"  # takes one image, never rows
+        call(rows[2] if one_image else rows)
         rows[2, 5] = bad
-        with pytest.raises(DataError, match=f"^{name} row 2 holds non-finite values$"):
-            call(rows)
+        if one_image:
+            with pytest.raises(DimensionError, match="^x must be one 1-D image"):
+                call(rows[:2])
+        else:
+            with pytest.raises(DataError, match=f"^{name} row 2 holds non-finite values$"):
+                call(rows)
         with pytest.raises(DataError, match=f"^{name} row 0 holds non-finite values$"):
             call(rows[2])
         with pytest.raises(DimensionError):
-            call(np.zeros((4, 9)))
+            call(np.zeros(9) if one_image else np.zeros((4, 9)))
 
     def test_non_finite_mapping_activity_rejected(self):
         model = GatedModel.initialize(8, 8, 4, 2, seed=32)
@@ -829,6 +836,50 @@ def test_band_pooling_layout():
     np.testing.assert_array_equal(p, expected)
     with pytest.raises(ModelConfigError):
         band_pooling(5)
+
+
+def reference_band_pooling(n_factors):
+    """Band pooling by index arithmetic: factors 2k and 2k+1 into column k."""
+    pairs = n_factors // 2
+    pool = np.zeros((n_factors, pairs))
+    pool[2 * np.arange(pairs), np.arange(pairs)] = 1.0
+    pool[2 * np.arange(pairs) + 1, np.arange(pairs)] = 1.0
+    return pool
+
+
+def reference_pair_decorrelation_gradient(filters):
+    """The pair penalty's gradient on the even and odd column slices."""
+    left = filters[:, 0::2]
+    right = filters[:, 1::2]
+    alignment = 2.0 * (left * right).sum(axis=0)
+    grad = np.empty_like(filters)
+    grad[:, 0::2] = alignment * right
+    grad[:, 1::2] = alignment * left
+    return grad
+
+
+class TestBandPairs:
+    def test_pair_k_is_columns_2k_and_2k_plus_1_as_a_view(self):
+        bank = np.arange(30.0).reshape(5, 6)
+        pairs = band_pairs(bank)
+        assert pairs.shape == (3, 5, 2)
+        for k in range(3):
+            np.testing.assert_array_equal(pairs[k], bank[:, 2 * k : 2 * k + 2])
+        pairs[1, 4, 1] = -1.0
+        assert bank[4, 3] == -1.0
+
+    @pytest.mark.parametrize("shape", [(5, 7), (10,), (2, 3, 4)])
+    def test_odd_columns_or_another_rank_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            band_pairs(np.ones(shape))
+
+    @pytest.mark.parametrize("n_factors", [2, 40, 64])
+    def test_pooling_and_pair_penalty_equal_the_slicing_references_bitwise(self, n_factors):
+        assert band_pooling(n_factors).tobytes() == reference_band_pooling(n_factors).tobytes()
+        filters = np.random.default_rng(n_factors).standard_normal((169, n_factors))
+        for bank in (filters, np.asfortranarray(filters)):
+            got = pair_decorrelation_gradient(bank)
+            assert got.tobytes() == reference_pair_decorrelation_gradient(bank).tobytes()
 
 
 def test_pipeline_training_makes_mapping_units_respond_to_the_pair():

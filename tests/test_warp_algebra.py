@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpcode.errors import (
+    DataError,
     DimensionError,
     OrthogonalityError,
     SingularWarpError,
@@ -232,6 +233,16 @@ class TestRotationWarp:
         want[np.arange(n * n), idx.ravel()] = 1.0
         assert np.array_equal(warp.entries, want)
         assert warp.orthogonality_residual == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warp_with_a_non_finite_entry_rejected(bad):
+    entries = np.eye(4)
+    entries[1, 2] = bad
+    with pytest.raises(DataError, match="NaN or an infinity"):
+        WarpMatrix.from_entries(entries)
+    with pytest.raises(DataError, match="NaN or an infinity"):
+        WarpMatrix(entries, 0.0)
 
 
 class TestDecompose:
