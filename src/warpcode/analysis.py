@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .model import band_pairs
+from .patches import as_rows
 from .storage import write_csv, write_pgm
 
 QUADRATURE_CSV_HEADER = ["pair_index", "theta_hat", "fit_r2", "spectral_overlap"]
@@ -22,12 +23,16 @@ QUADRATURE_CSV_HEADER = ["pair_index", "theta_hat", "fit_r2", "spectral_overlap"
 
 def _pair_stack(pairs, name):
     """``pairs``, a ``(dim, 2)`` pair or a ``(k, dim, 2)`` stack, as a C-contiguous
-    stack (members then reduce in one order), and whether it was one pair."""
+    stack (members then reduce in one order), and whether it was one pair.
+    DataError names the first pair that is non-finite or all zero."""
     stack = np.ascontiguousarray(pairs, dtype=np.float64)
     single = stack.ndim == 2
     stack = stack[None] if single else stack
     if stack.ndim != 3 or stack.shape[2] != 2:
         raise DimensionError(f"{name} must be a (dim, 2) filter pair or a (k, dim, 2) stack")
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise DataError(f"{name} {bad[0]} holds a non-finite value")
     zero = np.flatnonzero(~stack.any(axis=(1, 2)))
     if zero.size:
         raise DataError(f"{name} {zero[0]} is all zero")
@@ -73,13 +78,17 @@ def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None):
     A float for two filters, an array for two stacks ``(..., dim)``.  With
     ``geometry`` = (width, height), filters are reshaped row-major and the
     2-D transform is used; magnitudes are compared flattened.  Equal to 1
-    for any pair related by a cyclic shift; DataError for a zero filter.
+    for any pair related by a cyclic shift; DataError for a zero filter, or
+    naming the first pair (u, v), in row-major order, that is non-finite.
     """
     # contiguous filters give contiguous spectra, one unit-stride ddot each
     u = np.ascontiguousarray(u, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionError(f"filters differ in shape: {u.shape} and {v.shape}")
+    bad = np.flatnonzero(~(np.isfinite(u).all(axis=-1) & np.isfinite(v).all(axis=-1)))
+    if bad.size:
+        raise DataError(f"spectral overlap of non-finite filter pair {bad[0]}")
     if not (u.any(axis=-1).all() and v.any(axis=-1).all()):
         raise DataError("spectral overlap of a zero filter")
     width, height = geometry or (u.shape[-1], 1)  # one row: the 1-D transform
@@ -300,14 +309,11 @@ def export_filter_grid(filters, geometry, path, n_columns=None) -> np.ndarray:
 
     ``filters`` is (n_filters, dim) with dim = width*height; tiles are laid
     out left-to-right with 1-px black separators (and a border).  Constant
-    filters map to mid-gray.  Returns the uint8 image that was written.
+    filters map to mid-gray; DataError names the first non-finite filter.
+    Returns the uint8 image that was written.
     """
-    filters = np.atleast_2d(np.asarray(filters, dtype=np.float64))
     width, height = geometry
-    if filters.shape[1] != width * height:
-        raise DimensionError(
-            f"filters of dim {filters.shape[1]} do not reshape to {width}x{height}"
-        )
+    filters = as_rows(filters, width * height, "filters")
     count = filters.shape[0]
     if n_columns is None:
         n_columns = int(np.ceil(np.sqrt(count)))

@@ -6,7 +6,9 @@ neighbors with deterministic tie-breaking, and PCA feature projection.
 
 The logistic gradient works class-major: logits, probabilities and their
 residual are ``(classes, n)``, so the softmax reductions run across rows
-and the weight gradient is one ``delta @ features`` product.  k-NN takes
+and the weight gradient is one ``delta @ features`` product.  The logits
+read a C-contiguous ``(dim, n)`` copy of the features, a faster gemm than
+on the strided ``features.T`` with the same bits.  k-NN takes
 ``KNN_BLOCK`` queries at a time: one stacked gemv gives their distances,
 bit for bit those of a per-query ``train @ query``, and array operations
 choose their neighbors and count the votes, so no temporary is larger than
@@ -23,15 +25,15 @@ from .patches import as_rows
 KNN_BLOCK = 64  # k-NN queries whose distances are held at once
 
 
-def _multinomial_grad(weights, intercept, features, one_hot, l2):
+def _multinomial_grad(weights, intercept, features, features_t, one_hot_t, l2):
     """Class probabilities, shaped ``(classes, n)``, and the (weight,
-    intercept) gradient of the loss."""
-    logits = weights.T @ features.T
+    intercept) gradient of the loss, given C-contiguous transposes ``*_t``."""
+    logits = weights.T @ features_t
     logits += intercept[:, None]
     logits -= np.maximum.reduce(logits, axis=0)
     probabilities = np.exp(logits, out=logits)
     probabilities /= np.add.reduce(probabilities, axis=0)
-    delta = (probabilities - one_hot.T) / features.shape[0]
+    delta = (probabilities - one_hot_t) / features.shape[0]
     grad_w = (delta @ features).T + l2 * weights
     grad_b = np.add.reduce(delta, axis=1)
     return probabilities, grad_w, grad_b
@@ -42,8 +44,9 @@ def multinomial_loss_and_grad(weights, intercept, features, one_hot, l2):
 
     Returns (loss, weight gradient, intercept gradient).
     """
+    features_t, one_hot_t = (np.ascontiguousarray(a.T) for a in (features, one_hot))
     probabilities, grad_w, grad_b = _multinomial_grad(
-        weights, intercept, features, one_hot, l2
+        weights, intercept, features, features_t, one_hot_t, l2
     )
     loss = -np.log(
         np.maximum((probabilities * one_hot.T).sum(axis=0), 1e-300)
@@ -97,7 +100,8 @@ def fit_logistic_regression(
     scale = features.std(axis=0)
     scale[scale < 1e-8] = 1.0
     standardized = (features - mean) / scale
-    one_hot = (labels[:, None] == classes[None, :]).astype(np.float64)
+    standardized_t = np.ascontiguousarray(standardized.T)
+    one_hot_t = (classes[:, None] == labels[None, :]).astype(np.float64)
     weights = np.zeros((features.shape[1], classes.size))
     intercept = np.zeros(classes.size)
     velocity_w = np.zeros_like(weights)
@@ -105,10 +109,12 @@ def fit_logistic_regression(
     weight_rate = min(learning_rate, 1.0 / l2) if l2 > 0 else learning_rate
     for _ in range(n_iterations):
         _, grad_w, grad_b = _multinomial_grad(
-            weights, intercept, standardized, one_hot, l2
+            weights, intercept, standardized, standardized_t, one_hot_t, l2
         )
-        velocity_w = momentum * velocity_w - weight_rate * grad_w
-        velocity_b = momentum * velocity_b - learning_rate * grad_b
+        velocity_w *= momentum  # momentum * velocity - rate * grad, in place
+        velocity_w -= weight_rate * grad_w
+        velocity_b *= momentum
+        velocity_b -= learning_rate * grad_b
         weights += velocity_w
         intercept += velocity_b
     if not (np.isfinite(weights).all() and np.isfinite(intercept).all()):

@@ -5,10 +5,11 @@ of their seed.  Dot-image rotations use the same warp definition as the
 analytic machinery (``warp_algebra.rotate_stack``), so train-time data and
 closed-form detectors agree on what "rotation" means.
 
-The generators draw every random number in a per-item loop, then warp and
+The dot generators draw every random number in a per-item loop, the glyph
+generator one block of attempts per digit; then they warp, rasterize and
 normalize whole stacks: all pairs at once, all clips of a video set in
-lock-step one frame at a time, all glyphs in one ``normalize_rows`` call.  A
-stack rotation is bit for bit the per-image one and a shift only copies
+lock-step one frame at a time, glyphs a block at a time.  A stack rotation
+or rasterization is bit for bit the per-item one and a shift only copies
 values, so the output equals item-by-item generation exactly.
 """
 
@@ -18,10 +19,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
-from .patches import ImagePatch, contrast_normalize, normalize_rows
+from .patches import ImagePatch, contrast_normalize, normalize_rows  # noqa: F401
 from .storage import read_idx, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-# perfbench/tracer.py times warpcode.dataset.rotate_image, so the name stays
-# bound here although the generators rotate whole stacks
+# perfbench/tracer.py times warpcode.dataset.rotate_image and contrast_normalize,
+# so the names stay bound here although the generators work on whole stacks
 from .warp_algebra import rotate_image, rotate_stack  # noqa: F401
 
 Geometry = Union[int, Tuple[int, int]]
@@ -31,6 +32,8 @@ DOT_DENSITY_DEFAULT = 0.1
 # A dot image is redrawn until it holds a dot and a blank pixel; a geometry
 # and density that need more draws than this on average are refused.
 MAX_DOT_DRAWS = 1000
+
+GLYPH_BLOCK = 8  # glyphs whose segment distances are held at once
 
 SPLIT_TAGS = ("train", "holdout", "test")
 PAIR_FAMILIES = ("cyclic_shift", "rotation", "mixed")
@@ -373,11 +376,12 @@ GLYPH_STROKES = {
 
 
 def _segment_distances(xs, ys, starts, ends):
-    """Squared distance from each pixel centre to each segment.
+    """Squared distance from each pixel centre to each segment of each glyph.
 
-    The pixel centres form the grid ``ys x xs``; the result has shape
-    ``(len(ys), len(xs), n_segments)``.  With ``p`` a pixel centre, ``s`` a
-    segment start and ``d`` its direction, the foot parameter is
+    ``starts`` and ``ends`` are ``(glyphs, n_segments, 2)``; the pixel
+    centres form the grid ``ys x xs``, and the result has shape
+    ``(glyphs, n_segments, len(ys), len(xs))``.  With ``p`` a pixel centre,
+    ``s`` a segment start and ``d`` its direction, the foot parameter is
     ``t = clip(((px - sx) dx + (py - sy) dy) / |d|^2, 0, 1)`` and the offset
     is ``p - (s + t d)``.  The x and y parts are kept as separate arrays, so
     every sum runs over the same two terms in the same order as a reduction
@@ -385,56 +389,57 @@ def _segment_distances(xs, ys, starts, ends):
     the column and ``(py - sy) dy`` only on the row, so each is computed once
     per column or row.
     """
-    sx, sy = starts[:, 0], starts[:, 1]
-    dx, dy = ends[:, 0] - sx, ends[:, 1] - sy
+    sx, sy = starts[:, :, None, None, 0], starts[:, :, None, None, 1]
+    dx, dy = ends[:, :, None, None, 0] - sx, ends[:, :, None, None, 1] - sy
     lengths_sq = np.maximum(dx * dx + dy * dy, 1e-12)
-    t = ((xs[:, None] - sx) * dx)[None, :, :] + ((ys[:, None] - sy) * dy)[:, None, :]
+    t = (xs - sx) * dx + (ys[:, None] - sy) * dy
     t /= lengths_sq
     np.clip(t, 0.0, 1.0, out=t)
     # In place from here on: each line is one step of p - (s + t d), squared.
     nx = t * dx
     nx += sx
-    np.subtract(xs[None, :, None], nx, out=nx)
+    np.subtract(xs, nx, out=nx)
     ny = np.multiply(t, dy, out=t)
     ny += sy
-    np.subtract(ys[:, None, None], ny, out=ny)
+    np.subtract(ys[:, None], ny, out=ny)
     nx *= nx
     ny *= ny
     nx += ny
     return nx
 
 
-def render_glyph(
-    digit: int,
-    geometry: Tuple[int, int],
-    thickness: float = 0.055,
-    offset=(0.0, 0.0),
-    scale: float = 1.0,
-    rotation: float = 0.0,
-) -> np.ndarray:
-    """Rasterize one digit glyph, optionally rotated about the patch center.
+def render_glyph_stack(digit, geometry, thickness, offsets, scales, rotations):
+    """An ``(n, height, width)`` stack of one digit's glyph, each with its own
+    thickness, ``(x, y)`` offset, scale and rotation about the patch center.
 
     Rotation is applied to the stroke geometry before rasterizing, so the
     result is crisp at any angle.  Each pixel's distance to the nearest
     stroke is the square root of the smallest squared segment distance;
     ``sqrt`` is monotone and correctly rounded, so this equals the smallest
-    distance exactly.
+    distance exactly.  Each stroke moves by one 2 x 2 product per glyph, and
+    distances are found ``GLYPH_BLOCK`` glyphs at a time, so every glyph
+    comes out bit for bit as it does alone.
     """
     width, height = geometry
-    strokes = GLYPH_STROKES[digit]
-    starts, ends = [], []
-    c, s = np.cos(rotation), np.sin(rotation)
-    rot = np.array([[c, s], [-s, c]])  # y grows downward
-    for polyline in strokes:
-        pts = (polyline - 0.5) * scale @ rot.T + 0.5 + np.asarray(offset)
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
-    starts = np.concatenate(starts)
-    ends = np.concatenate(ends)
+    c, s = np.cos(rotations), np.sin(rotations)
+    rot_t = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)  # y down
+    scales, offsets = np.reshape(scales, (-1, 1, 1)), np.reshape(offsets, (-1, 1, 2))
+    moved = [(line - 0.5) * scales @ rot_t + 0.5 + offsets for line in GLYPH_STROKES[digit]]
+    starts = np.concatenate([pts[:, :-1] for pts in moved], axis=1)
+    ends = np.concatenate([pts[:, 1:] for pts in moved], axis=1)
     xs = (np.arange(width) + 0.5) / width
     ys = (np.arange(height) + 0.5) / height
-    distances = np.sqrt(_segment_distances(xs, ys, starts, ends).min(axis=2))
-    return np.clip(1.0 - distances / thickness, 0.0, 1.0)
+    squared = np.empty((len(rot_t), height, width))
+    for first in range(0, len(rot_t), GLYPH_BLOCK):
+        block = slice(first, first + GLYPH_BLOCK)
+        squared[block] = _segment_distances(xs, ys, starts[block], ends[block]).min(axis=1)
+    return np.clip(1.0 - np.sqrt(squared) / np.reshape(thickness, (-1, 1, 1)), 0.0, 1.0)
+
+
+def render_glyph(digit, geometry, thickness=0.055, offset=(0.0, 0.0), scale=1.0, rotation=0.0):
+    """Rasterize one digit glyph, optionally rotated about the patch center:
+    a stack of one through :func:`render_glyph_stack`."""
+    return render_glyph_stack(digit, geometry, [thickness], [offset], [scale], [rotation])[0]
 
 
 def gen_rotated_glyphs(
@@ -449,40 +454,33 @@ def gen_rotated_glyphs(
     thickness/offset/scale jitter, a rotation uniform on (-max_rotation,
     max_rotation], and contrast normalization.  Split tags partition the set
     into 63% train / 7% holdout (a tenth of the training pool) / 30% test.
-    A degenerate (constant) rendering is redrawn; all glyphs are then
-    normalized in one ``normalize_rows`` call.
+    Each digit draws the attempts it still needs as one block, rasterizes and
+    normalizes it, and keeps the non-degenerate glyphs; only the shortfall is
+    drawn again.  ``Generator.uniform(low, high)`` is ``low + (high - low) *
+    random()``, so glyphs and random stream equal one attempt at a time.
     """
     width, height = geometry
     if width < 16 or height < 16:
         raise DimensionError("glyph geometry must be at least 16x16")
     rng = np.random.default_rng(seed)
     total = 10 * n_per_class
-    raw = np.empty((total, width * height))
-    labels = np.empty(total, dtype=np.int64)
+    images = np.empty((total, width * height))
+    low = np.array([0.8, -0.05, -0.05, 0.9, -max_rotation])[: 5 if max_rotation else 4]
+    span = np.array([1.25, 0.05, 0.05, 1.1, max_rotation])[: low.size] - low
     index = 0
     for digit in range(10):
-        for _ in range(n_per_class):
-            while True:
-                thickness = 0.055 * rng.uniform(0.8, 1.25)
-                offset = rng.uniform(-0.05, 0.05, size=2)
-                scale = rng.uniform(0.9, 1.1)
-                angle = rng.uniform(-max_rotation, max_rotation) if max_rotation else 0.0
-                glyph = render_glyph(
-                    digit,
-                    geometry,
-                    thickness=thickness,
-                    offset=offset,
-                    scale=scale,
-                    rotation=angle,
-                ).ravel()
-                # A centered norm is at least half the range, so a glyph
-                # this varied is not degenerate; below it, decide exactly.
-                if np.ptp(glyph) >= 1e-6 or not contrast_normalize(glyph).degenerate:
-                    break
-            raw[index] = glyph
-            labels[index] = digit
-            index += 1
-    images = _normalize_or_raise(raw)
+        end = index + n_per_class
+        while index < end:
+            draws = low + span * rng.random((end - index, low.size))
+            angles = draws[:, 4] if max_rotation else np.zeros(len(draws))
+            glyphs = render_glyph_stack(
+                digit, geometry, 0.055 * draws[:, 0], draws[:, 1:3], draws[:, 3], angles
+            )
+            values, degenerate = normalize_rows(glyphs.reshape(len(draws), -1))
+            kept = values[~degenerate]
+            images[index : index + len(kept)] = kept
+            index += len(kept)
+    labels = np.repeat(np.arange(10), n_per_class)
     order = rng.permutation(total)
     images, labels = images[order], labels[order]
     split = np.empty(total, dtype=object)

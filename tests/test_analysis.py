@@ -325,6 +325,14 @@ class TestFilterGrid:
         with pytest.raises(DimensionError):
             export_filter_grid(np.ones((2, 10)), (3, 3), tmp_path / "bad.pgm")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_tile_rejected(self, tmp_path):
+        filters = np.random.default_rng(25).standard_normal((3, 9))
+        filters[1, 4] = np.nan
+        with pytest.raises(DataError, match="filters row 1 holds non-finite values"):
+            export_filter_grid(filters, (3, 3), tmp_path / "nan.pgm")
+        assert not (tmp_path / "nan.pgm").exists()
+
 
 class TestBankScoring:
     def test_scores_every_band_pair(self):
@@ -521,6 +529,27 @@ class TestStackedPairFunctions:
             spectral_overlap(u.T, bank.T)
         with pytest.raises(DataError, match="zero filter"):
             score_filter_bank_pairs(u, bank, (13, 13))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_pair_rejected(self, bad):
+        rng = np.random.default_rng(47)
+        u, v = rng.standard_normal((2, 9, 4))
+        u[4, 1] = bad  # pair 0 of the bank, a 3x3 pair
+        with pytest.raises(DataError, match="u_pair 0 holds a non-finite value"):
+            quadrature_pair_score(u[:, :2], v[:, :2])
+        with pytest.raises(DataError, match="non-finite filter pair 0"):
+            spectral_overlap(u[:, 1], v[:, 1], (3, 3))
+        with pytest.raises(DataError, match="pair 0 holds a non-finite value"):
+            pair_rotation_invariance_score(u[:, :2], (3, 3))
+        with pytest.raises(DataError, match="u_pair 0 holds a non-finite value"):
+            score_filter_bank_pairs(u, v, (3, 3))
+        # a later pair of a stack is named by its index
+        w = v.copy()
+        w[2, 3] = bad
+        with pytest.raises(DataError, match="non-finite filter pair 3"):
+            spectral_overlap(v.T, w.T)
+        with pytest.raises(DataError, match="v_pair 1 holds a non-finite value"):
+            quadrature_pair_score(band_pairs(v), band_pairs(w))
 
     def test_stacks_of_other_shapes_rejected(self):
         u, v = trained_like_banks()

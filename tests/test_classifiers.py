@@ -120,7 +120,11 @@ class TestLogisticRegression:
         with pytest.raises(DataError):
             fit_logistic_regression(np.zeros((5, 2)), np.zeros(5))
 
-    @pytest.mark.parametrize("n, d, n_classes", [(60, 8, 3), (20, 40, 4), (50, 6, 2)])
+    @pytest.mark.parametrize(
+        "n, d, n_classes",
+        # the last three rows are fig4's shapes: 10 glyph classes
+        [(60, 8, 3), (20, 40, 4), (50, 6, 2), (100, 32, 10), (300, 200, 10), (1000, 256, 10)],
+    )
     def test_fit_equals_loss_evaluating_reference_bitwise(self, n, d, n_classes):
         rng = np.random.default_rng(n + d)
         features = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d)

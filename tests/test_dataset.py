@@ -464,8 +464,9 @@ def reference_render_glyph(digit, geometry, thickness, offset, scale, rotation):
     return intensity.reshape(height, width)
 
 
-def reference_glyph_images(n_per_class, geometry, seed):
-    """gen_rotated_glyphs' images, rendered one by one with the reference."""
+def reference_glyph_images(n_per_class, geometry, seed, max_rotation=np.pi):
+    """gen_rotated_glyphs' images, drawn and rendered one by one with the
+    reference."""
     rng = np.random.default_rng(seed)
     images = []
     for digit in range(10):
@@ -474,7 +475,7 @@ def reference_glyph_images(n_per_class, geometry, seed):
                 thickness = 0.055 * rng.uniform(0.8, 1.25)
                 offset = rng.uniform(-0.05, 0.05, size=2)
                 scale = rng.uniform(0.9, 1.1)
-                angle = rng.uniform(-np.pi, np.pi)
+                angle = rng.uniform(-max_rotation, max_rotation) if max_rotation else 0.0
                 raw = reference_render_glyph(
                     digit, geometry, thickness, offset, scale, angle
                 )
@@ -547,22 +548,31 @@ class TestGlyphs:
         flat = np.full((16, 16), 0.3)
         flat[0, 0] += 1e-12  # degenerate: redrawn
         faint = np.linspace(0.0, 1e-7, 256).reshape(16, 16)  # normalizes
-        render = dataset.render_glyph
-        calls = []
+        render = dataset.render_glyph_stack
+        attempts = []
 
-        def fake(*args, **kwargs):
-            calls.append(None)
-            return [flat, faint][len(calls) - 1] if len(calls) <= 2 else render(*args, **kwargs)
+        def fake(digit, geometry, thickness, *jitter):
+            stack = render(digit, geometry, thickness, *jitter)
+            for row in range(len(stack)):
+                attempts.append(None)
+                if len(attempts) <= 2:
+                    stack[row] = [flat, faint][len(attempts) - 1]
+            return stack
 
-        monkeypatch.setattr(dataset, "render_glyph", fake)
+        monkeypatch.setattr(dataset, "render_glyph_stack", fake)
         glyphs = gen_rotated_glyphs(1, (16, 16), seed=3)
-        assert len(calls) == 11
+        assert len(attempts) == 11
         expected = contrast_normalize(faint.ravel()).values
         assert_bitwise_equal(glyphs.images[glyphs.labels == 0][0], expected)
 
     def test_generated_glyphs_equal_reference_loop_bitwise(self):
         glyphs = gen_rotated_glyphs(25, (16, 16), seed=7)
         assert np.array_equal(glyphs.images, reference_glyph_images(25, (16, 16), 7))
+        # 4 draws per attempt without rotation; a non-square raster
+        for geometry, max_rotation in (((16, 16), 0.0), ((20, 17), np.pi)):
+            glyphs = gen_rotated_glyphs(25, geometry, seed=7, max_rotation=max_rotation)
+            want = reference_glyph_images(25, geometry, 7, max_rotation)
+            assert np.array_equal(glyphs.images, want), (geometry, max_rotation)
 
 
 class TestWmat:
