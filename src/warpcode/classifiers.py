@@ -39,21 +39,6 @@ def _multinomial_grad(weights, intercept, features, features_t, one_hot_t, l2):
     return probabilities, grad_w, grad_b
 
 
-def multinomial_loss_and_grad(weights, intercept, features, one_hot, l2):
-    """Mean cross-entropy with L2 on the weights (not the intercept).
-
-    Returns (loss, weight gradient, intercept gradient).
-    """
-    features_t, one_hot_t = (np.ascontiguousarray(a.T) for a in (features, one_hot))
-    probabilities, grad_w, grad_b = _multinomial_grad(
-        weights, intercept, features, features_t, one_hot_t, l2
-    )
-    loss = -np.log(
-        np.maximum((probabilities * one_hot.T).sum(axis=0), 1e-300)
-    ).mean() + 0.5 * l2 * float(np.sum(weights * weights))
-    return float(loss), grad_w, grad_b
-
-
 @dataclass
 class LogisticModel:
     weights: np.ndarray

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``gen`` (datasets), ``train`` (gated model), ``analyze``
-(quadrature/eigenmovie reports for a checkpoint), ``classify`` (glyph
+(quadrature reports for one checkpoint or bank), ``classify`` (glyph
 benchmark on a checkpoint), and the pipelines ``fig2``, ``fig3``, ``fig4``,
 ``oracle``.  Every subcommand's options come from ``--config`` key=value
-files overridden by ``--set key=value`` flags (flags win), checked by
-``experiments.ExperimentConfig.build`` against the subcommand's table.
+files overridden by the ``--seed`` and ``--set key=value`` flags (flags
+win), checked by ``experiments.ExperimentConfig.build`` against the
+subcommand's table.
 Exit codes: 0 success, 2 configuration error (a missing input path too), 3
 training divergence.
 """
@@ -42,13 +43,13 @@ def _parse_overrides(pairs):
 
 
 def _config(name, args):
-    """``name``'s options from ``--config``, ``--set`` and ``--seed``."""
+    """``name``'s options from ``--config``, then ``--seed`` as if it were
+    ``--set seed=N``, then ``--set``."""
+    overrides = _parse_overrides(args.set)
+    if args.seed is not None:
+        overrides = {"seed": args.seed, **overrides}
     return experiments.ExperimentConfig.build(
-        name,
-        args.out,
-        seed=args.seed,
-        config_file=args.config,
-        overrides=_parse_overrides(args.set),
+        name, args.out, config_file=args.config, overrides=overrides
     )
 
 
@@ -61,33 +62,29 @@ def _check_geometry(width, height, dim, source):
         )
 
 
-def _cmd_experiment(name, args):
-    cfg = _config(name, args)
-    runner = {
-        "fig2": experiments.run_fig2,
-        "fig3": experiments.run_fig3,
-        "fig4": experiments.run_fig4,
-        "oracle": experiments.run_detector_oracle,
-    }[name]
-    report = runner(cfg)
-    if name == "fig2":
-        print(
-            f"fig2: top-half quadrature fraction (r2>=0.8) = "
-            f"{report.top_half_fraction():.3f}"
-        )
-        print(
-            f"fig2: top-half non-trivial fraction (r2>=0.8, 0.1<=|theta|<=pi-0.1) = "
-            f"{report.nontrivial_fraction():.3f}"
-        )
-    elif name == "fig3":
-        top, bottom = report.quartile_medians()
-        print(f"fig3: consistency medians top={top:.3f} bottom={bottom:.3f}")
-    elif name == "fig4":
-        for method, by_size in sorted(report.accuracies.items()):
-            summary = "  ".join(f"{s}:{a:.3f}" for s, a in sorted(by_size.items()))
-            print(f"fig4 {method}: {summary}")
-    else:
-        print(f"oracle: accuracy {report.accuracy:.4f}")
+# each pipeline subcommand's runner, and the lines it prints of the report
+PIPELINES = {
+    "fig2": (experiments.run_fig2, lambda r: [
+        f"fig2: top-half quadrature fraction (r2>=0.8) = {r.top_half_fraction():.3f}",
+        "fig2: top-half non-trivial fraction (r2>=0.8, 0.1<=|theta|<=pi-0.1) = "
+        f"{r.nontrivial_fraction():.3f}",
+    ]),
+    "fig3": (experiments.run_fig3, lambda r: [
+        "fig3: consistency medians top={:.3f} bottom={:.3f}".format(*r.quartile_medians())
+    ]),
+    "fig4": (experiments.run_fig4, lambda r: [
+        f"fig4 {method}: " + "  ".join(f"{s}:{a:.3f}" for s, a in sorted(by_size.items()))
+        for method, by_size in sorted(r.accuracies.items())
+    ]),
+    "oracle": (experiments.run_detector_oracle, lambda r: [f"oracle: accuracy {r.accuracy:.4f}"]),
+}
+
+
+def _cmd_experiment(args):
+    cfg = _config(args.command, args)
+    runner, summary = PIPELINES[args.command]
+    for line in summary(runner(cfg)):
+        print(line)
     print(f"artifacts in {cfg.out_dir}")
     return 0
 
@@ -158,11 +155,9 @@ def _cmd_analyze(args):
     if args.bank:
         bank = load_bank(Path(args.bank))
         dim = bank.dim
-    elif args.model:
+    else:
         model = load_model(Path(args.model))
         dim = model.dim_x
-    else:
-        raise ConfigError("analyze needs --model or --bank")
     width = cfg.params["width"] or math.isqrt(dim)
     geometry = (width, cfg.params["height"] or dim // width)
     _check_geometry(*geometry, dim, "bank" if args.bank else "checkpoint")
@@ -186,15 +181,11 @@ def _cmd_analyze(args):
         export_filter_grid(tiles, geometry, out / "bank_filters.pgm")
         print(f"bank with {bank.n_detectors} detectors; reports in {out}")
         return 0
-    report = score_filter_bank_pairs(
-        model.input_filters, model.output_filters, geometry
-    )
+    report = score_filter_bank_pairs(model.input_filters, model.output_filters, geometry)
     report.write(out / "quadrature.csv")
     export_filter_grid(model.input_filters.T, geometry, out / "filters_input.pgm")
     if not model.tied:
-        export_filter_grid(
-            model.output_filters.T, geometry, out / "filters_output.pgm"
-        )
+        export_filter_grid(model.output_filters.T, geometry, out / "filters_output.pgm")
     quantiles = report.summary_quantiles()
     print(f"median quadrature fit_r2: {quantiles['fit_r2'][0.5]:.3f}")
     print(f"reports in {out}")
@@ -233,9 +224,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="the seed (wins over --config)")
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument(
             "--set",
@@ -244,25 +236,26 @@ def build_parser():
             help="override a configuration value (repeatable; wins over --config)",
         )
 
-    for name in ("fig2", "fig3", "fig4", "oracle"):
-        common(sub.add_parser(name, help=f"run the {name} pipeline"))
+    for name in PIPELINES:
+        common(sub.add_parser(name, help=f"run the {name} pipeline"), _cmd_experiment)
 
     p = sub.add_parser("gen", help="generate a dataset")
     p.add_argument("kind", choices=("pairs", "videos", "glyphs"))
-    common(p)
+    common(p, _cmd_gen)
 
     p = sub.add_parser("train", help="train a gated model on generated pairs")
     p.add_argument("--data", required=True, help="directory with xs.wmat/ys.wmat")
-    common(p)
+    common(p, _cmd_train)
 
     p = sub.add_parser("analyze", help="quadrature report for a checkpoint or bank")
-    p.add_argument("--model", help="gated-model checkpoint directory")
-    p.add_argument("--bank", help="serialized detector-bank directory")
-    common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="gated-model checkpoint directory")
+    source.add_argument("--bank", help="serialized detector-bank directory")
+    common(p, _cmd_analyze)
 
     p = sub.add_parser("classify", help="glyph benchmark for a checkpoint")
     p.add_argument("--model", required=True, help="checkpoint directory")
-    common(p)
+    common(p, _cmd_classify)
     return parser
 
 
@@ -270,14 +263,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("fig2", "fig3", "fig4", "oracle"):
-            return _cmd_experiment(args.command, args)
-        return {
-            "gen": _cmd_gen,
-            "train": _cmd_train,
-            "analyze": _cmd_analyze,
-            "classify": _cmd_classify,
-        }[args.command](args)
+        return args.handler(args)
     except (ConfigError, LockError, ModelConfigError) as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2

@@ -436,12 +436,6 @@ def render_glyph_stack(digit, geometry, thickness, offsets, scales, rotations):
     return np.clip(1.0 - np.sqrt(squared) / np.reshape(thickness, (-1, 1, 1)), 0.0, 1.0)
 
 
-def render_glyph(digit, geometry, thickness=0.055, offset=(0.0, 0.0), scale=1.0, rotation=0.0):
-    """Rasterize one digit glyph, optionally rotated about the patch center:
-    a stack of one through :func:`render_glyph_stack`."""
-    return render_glyph_stack(digit, geometry, [thickness], [offset], [scale], [rotation])[0]
-
-
 def gen_rotated_glyphs(
     n_per_class: int,
     geometry: Tuple[int, int],

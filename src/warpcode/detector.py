@@ -212,7 +212,6 @@ def _check_shared_subspaces(decompositions, tol=1e-6):
 def build_bank_from_warp_family(
     decompositions: Sequence[SubspaceDecomposition],
     theta_grid: Sequence[float],
-    across_pool: Optional[np.ndarray] = None,
 ) -> DetectorBank:
     """One detector per (shared subspace, grid angle).
 
@@ -220,9 +219,9 @@ def build_bank_from_warp_family(
     angles, since a repeated angle's planes are arbitrary.  Every later one
     must commute with it and map each of its subspaces into itself (leakage
     <= 1e-6).  1-D subspaces only get detectors for grid angles 0 and pi,
-    where no continuous rotation exists.  The default ``across_pool`` sums
-    detectors of the same grid angle across subspaces, one pooled output per
-    grid angle.
+    where no continuous rotation exists.  ``across_pool`` sums detectors of
+    the same grid angle across subspaces, one pooled output per grid angle;
+    ``DetectorBank.with_across_pool`` replaces it.
     """
     decompositions = list(decompositions)
     if not decompositions:
@@ -236,9 +235,8 @@ def build_bank_from_warp_family(
     two_dim = np.array([block.is_two_dimensional for block in blocks])
     # block-major: each block's detectors in grid order
     det_block, det_grid = np.nonzero(two_dim[:, None] | _on_real_axis(theta_grid))
-    if across_pool is None:
-        across_pool = np.zeros((det_block.size, theta_grid.size))
-        across_pool[np.arange(det_block.size), det_grid] = 1.0
+    across_pool = np.zeros((det_block.size, theta_grid.size))
+    across_pool[np.arange(det_block.size), det_grid] = 1.0
     return _assemble_bank(blocks, det_block, theta_grid[det_grid], across_pool)
 
 

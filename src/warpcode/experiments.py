@@ -250,10 +250,10 @@ class ExperimentConfig:
         by ``config_file``, then by ``overrides``.  Every value set must
         pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
         integer set for a list option is a list of one.  Runs that rotate
-        patches by any angle need ``width == height``, band pooling an even
-        ``n_factors``, and runs that draw dot images (those with a
-        ``density``) a geometry and density that ``dataset.dot_image_dim``
-        accepts."""
+        patches by any angle need ``width == height``, band pooling and a
+        positive ``pair_decorrelation`` an even ``n_factors``, and runs
+        that draw dot images (those with a ``density``) a geometry and
+        density that ``dataset.dot_image_dim`` accepts."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -286,9 +286,12 @@ class ExperimentConfig:
                 f"rotations need square patches, got width {params['width']} "
                 f"x height {params['height']}"
             )
-        band = experiment in ("fig2", "fig4") or params.get("pooling") == "band"
-        if band and params["n_factors"] % 2:  # band_pooling sums factors 2k, 2k+1
+        # band pooling sums factors 2k and 2k+1, and the pair penalty aligns them
+        odd = params.get("n_factors", 0) % 2
+        if odd and (experiment in ("fig2", "fig4") or params.get("pooling") == "band"):
             raise ConfigError(f"band pooling needs an even n_factors, got {params['n_factors']}")
+        if odd and params.get("pair_decorrelation"):
+            raise ConfigError(f"pair_decorrelation needs an even n_factors, got {params['n_factors']}")
         # dot images are redrawn until they hold a dot and a blank pixel
         if "density" in params:
             geometry = (params["width"], params["height"])

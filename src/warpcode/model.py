@@ -83,7 +83,9 @@ class GatedModel:
     ``input_filters`` (U) and ``output_filters`` (V) have one unit-norm
     column per factor; ``within_pool`` (P) is fixed, ``across_pool`` (W)
     is trained.  With ``tied=True`` a single filter bank serves both roles.
-    ``gate_gain`` multiplies the pooled products before ``W``.
+    ``gate_gain`` multiplies the pooled products before ``W``.  DataError
+    for a non-finite matrix, DimensionError unless U and V have the same
+    factor count and the pooling maps chain.
     """
 
     def __init__(
@@ -102,16 +104,18 @@ class GatedModel:
         if not (np.isfinite(self.gate_gain) and self.gate_gain > 0):
             raise ModelConfigError("gate_gain must be positive and finite")
         self.input_filters = np.array(input_filters, dtype=np.float64)
-        if self.tied:
-            self._output_filters = None
-        else:
-            self._output_filters = np.array(output_filters, dtype=np.float64)
+        self._output_filters = None if self.tied else np.array(output_filters, dtype=np.float64)
         self.within_pool = np.array(within_pool, dtype=np.float64)
         self.across_pool = np.array(across_pool, dtype=np.float64)
         self.nonlinearity = nonlinearity
         self.pooling_mode = pooling_mode
         _named(NONLINEARITIES, nonlinearity, "nonlinearity")
         _named(POOLINGS, pooling_mode, "pooling mode")
+        matrices = [self.input_filters, self.output_filters, self.within_pool, self.across_pool]
+        if not all(np.isfinite(m).all() for m in matrices):
+            raise DataError("model matrices hold non-finite values")
+        if self.output_filters.shape[1] != self.n_factors:
+            raise DimensionError("output_filters must have the input filters' factor count")
         if self.input_filters.shape[1] != self.within_pool.shape[0]:
             raise DimensionError("within_pool rows must match the factor count")
         if self.within_pool.shape[1] != self.across_pool.shape[0]:
@@ -176,14 +180,6 @@ class GatedModel:
             pooling_mode=pooling,
             gate_gain=gate_gain,
         )
-
-    def column_norm_deviation(self):
-        dev = np.abs(np.linalg.norm(self.input_filters, axis=0) - 1.0).max()
-        if not self.tied:
-            dev = max(
-                dev, np.abs(np.linalg.norm(self.output_filters, axis=0) - 1.0).max()
-            )
-        return float(dev)
 
 
 def standardizing_gain(*arrays) -> float:
@@ -395,10 +391,6 @@ class TrainingTrace:
     epoch_losses: np.ndarray
 
     @property
-    def initial_loss(self):
-        return float(self.epoch_losses[0])
-
-    @property
     def final_loss(self):
         return float(self.epoch_losses[-1])
 
@@ -422,7 +414,8 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     and ``np.linalg.norm(param, axis=0)``), so the results are bit for bit
     theirs.  The squares take the buffer only when it has the parameter's
     memory layout, since the layout sets the order of the column sums.
-    At ``learning_rate`` 0 the steps only compute the loss.
+    At ``learning_rate`` 0 every step still computes the loss and all its
+    gradients, then discards the gradients and updates nothing.
     """
     xs, ys = (data.xs, data.ys) if hasattr(data, "xs") and hasattr(data, "ys") else data
     xs, ys = as_rows(xs, model.dim_x, "xs"), as_rows(ys, model.dim_y, "ys")

@@ -1,4 +1,4 @@
-"""On-disk formats: WMAT matrix container, IDX reader, PGM writer, CSV.
+"""On-disk formats: WMAT matrix container, IDX reader, PGM writer, CSV writer.
 
 WMAT layout (little-endian): magic ``WMAT``, u32 version = 1, u64 rows,
 u64 cols, then rows*cols float64 values in row-major order.  The header is
@@ -109,33 +109,6 @@ def write_pgm(path, image) -> None:
         handle.write(image.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"P5"):
-        raise FormatError(f"not a binary PGM: {path}")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"unsupported PGM maxval {maxval}")
-    data = np.frombuffer(raw[pos : pos + width * height], dtype=np.uint8)
-    if data.size != width * height:
-        raise FormatError(f"truncated PGM payload in {path}")
-    return data.reshape(height, width)
-
-
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -161,10 +134,3 @@ def _format_cell(cell) -> str:
         return repr(float(cell))
     return str(cell)
 
-
-def read_csv(path):
-    """Inverse of write_csv: returns (header, list of string rows)."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]

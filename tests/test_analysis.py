@@ -15,8 +15,9 @@ from warpcode.analysis import (
 )
 from warpcode.errors import DataError, DimensionError
 from warpcode.model import band_pairs
-from warpcode.storage import read_pgm
 from warpcode.warp_algebra import SubspaceBlock
+
+from readers import read_pgm
 
 
 def random_pair(rng, dim=40):

@@ -5,15 +5,28 @@ import pytest
 
 from warpcode.classifiers import (
     KNN_BLOCK,
+    _multinomial_grad,
     _nearest,
     _vote,
     classify_knn,
     fit_logistic_regression,
     fit_pca,
     knn_accuracy,
-    multinomial_loss_and_grad,
 )
 from warpcode.errors import DataError, DimensionError
+
+
+def multinomial_loss_and_grad(weights, intercept, features, one_hot, l2):
+    """Mean cross-entropy with L2 on the weights (not the intercept), and
+    the (weight, intercept) gradient ``_multinomial_grad`` gives for it."""
+    features_t, one_hot_t = (np.ascontiguousarray(a.T) for a in (features, one_hot))
+    probabilities, grad_w, grad_b = _multinomial_grad(
+        weights, intercept, features, features_t, one_hot_t, l2
+    )
+    loss = -np.log(
+        np.maximum((probabilities * one_hot.T).sum(axis=0), 1e-300)
+    ).mean() + 0.5 * l2 * float(np.sum(weights * weights))
+    return float(loss), grad_w, grad_b
 
 
 def reference_fit(features, labels, l2=1e-3, learning_rate=1.0, momentum=0.9):

@@ -11,7 +11,9 @@ from warpcode.cli import main
 from warpcode.detector import save_bank
 from warpcode.experiments import OPTION_CHOICES, build_shift_bank
 from warpcode.model import GatedModel, save_model
-from warpcode.storage import load_matrix, read_csv, save_matrix
+from warpcode.storage import load_matrix, save_matrix
+
+from readers import read_csv
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -201,6 +203,18 @@ def test_pair_penalty_on_an_odd_factor_count_exits_2_with_one_line(tmp_path, cap
     assert not (tmp_path / "o" / "checkpoint").exists()
 
 
+def test_pair_penalty_on_an_odd_factor_count_refused_before_the_data_is_read(
+    tmp_path, capsys
+):
+    # the options check refuses it, so a missing data directory is not reached
+    args = ["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")]
+    assert main(args + ["--set", "pooling=identity", "--set", "n_factors=41"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: pair_decorrelation needs an even n_factors, got 41\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "command, missing",
     [
@@ -252,6 +266,20 @@ def test_analyze_geometry_off_the_dim_exits_2(tmp_path, capsys, source, options)
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sources", [("--model", "--bank"), ()])
+def test_analyze_needs_exactly_one_source(tmp_path, capsys, sources):
+    save_model(GatedModel.initialize(16, 16, 4, 2, seed=1), tmp_path / "model")
+    save_bank(build_shift_bank(16), tmp_path / "bank")
+    args = ["analyze", "--out", str(tmp_path / "o")]
+    for flag in sources:
+        args += [flag, str(tmp_path / flag.strip("-"))]
+    with pytest.raises(SystemExit) as raised:
+        main(args)
+    assert raised.value.code == 2
+    assert "--model" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -445,6 +473,21 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     _, rows = read_csv(tmp_path / "o" / "oracle.csv")
     assert rows[0][1] == "16"  # trials column reflects the flag override
+
+
+def test_seed_flag_wins_over_the_config_file(tmp_path):
+    # --seed acts as --set seed=N: it replaces the file's seed, and --set
+    # replaces it; without it the file's seed stands
+    config = tmp_path / "cfg"
+    config.write_text("dim=8\nn_trials=5\nseed=5\n")
+    args = ["oracle", "--config", str(config)]
+    for name, flags, seed in [
+        ("file", [], 5),
+        ("flag", ["--seed", "7"], 7),
+        ("set", ["--seed", "7", "--set", "seed=9"], 9),
+    ]:
+        assert main(args + flags + ["--out", str(tmp_path / name)]) == 0
+        assert f"seed={seed}" in (tmp_path / name / "manifest.txt").read_text().splitlines()
 
 
 def test_gen_and_train_honour_config_file_and_flags_win(tmp_path):

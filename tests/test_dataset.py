@@ -13,18 +13,14 @@ from warpcode.dataset import (
     gen_rotated_glyphs,
     gen_videos,
     load_idx,
-    render_glyph,
+    render_glyph_stack,
 )
 from warpcode.errors import DataError, DimensionError, FormatError
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
-from warpcode.storage import (
-    load_matrix,
-    read_pgm,
-    save_matrix,
-    write_csv,
-    write_pgm,
-)
+from warpcode.storage import load_matrix, save_matrix, write_csv, write_pgm
 from warpcode.warp_algebra import rotate_image
+
+from readers import read_pgm
 
 
 def reference_contrast_normalize(raw):
@@ -442,6 +438,11 @@ def reference_segment_distances(points, starts, ends):
     )
     nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
     return np.linalg.norm(points[:, None, :] - nearest, axis=2)
+
+
+def render_glyph(digit, geometry, thickness=0.055, offset=(0.0, 0.0), scale=1.0, rotation=0.0):
+    """One digit glyph: a stack of one through ``render_glyph_stack``."""
+    return render_glyph_stack(digit, geometry, [thickness], [offset], [scale], [rotation])[0]
 
 
 def reference_render_glyph(digit, geometry, thickness, offset, scale, rotation):

@@ -29,8 +29,9 @@ from warpcode.experiments import (
 )
 from warpcode.model import GatedModel
 from warpcode.patches import contrast_normalize
-from warpcode.storage import read_csv
 from warpcode.warp_algebra import wrap_angle
+
+from readers import read_csv
 
 
 TINY_FIG2 = {

@@ -20,6 +20,7 @@ from warpcode.errors import (
 )
 from warpcode.experiments import FIG2_DEFAULTS, fit_gated_model
 from warpcode.model import (
+    CHECKPOINT_MATRICES,
     DIVERGENCE_LOSS,
     GatedModel,
     TrainConfig,
@@ -173,6 +174,23 @@ def assert_trains_like_reference(make_model, data, config):
     np.testing.assert_array_equal(losses, ref_losses)
     for name, value in ref_params.items():
         np.testing.assert_array_equal(params[name], value)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("name", CHECKPOINT_MATRICES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, name, bad):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=35)
+        matrices = {key: getattr(model, key).copy() for key in CHECKPOINT_MATRICES}
+        matrices[name][1, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            GatedModel(*matrices.values())
+
+    def test_output_filters_of_another_factor_count_rejected(self):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=36)
+        output_filters = np.ones((8, 6))
+        with pytest.raises(DimensionError, match="factor count"):
+            GatedModel(model.input_filters, output_filters, model.within_pool, model.across_pool)
 
 
 class TestInferMappings:
@@ -596,14 +614,15 @@ class TestTrain:
         xs, ys = shift_pairs(rng, 13, 2000)
         model = GatedModel.initialize(13, 13, 40, 20, seed=13)
         trace = train(model, (xs, ys), TrainConfig(0.5, 30, 100, seed=14))
-        assert trace.final_loss < 0.5 * trace.initial_loss
+        assert trace.final_loss < 0.5 * trace.epoch_losses[0]
 
     def test_filter_columns_stay_unit_norm(self):
         rng = np.random.default_rng(53)
         xs, ys = shift_pairs(rng, 13, 300)
         model = GatedModel.initialize(13, 13, 12, 6, seed=15)
         train(model, (xs, ys), TrainConfig(0.4, 6, 30, seed=16))
-        assert model.column_norm_deviation() <= 1e-10
+        for filters in (model.input_filters, model.output_filters):
+            assert np.abs(np.linalg.norm(filters, axis=0) - 1.0).max() <= 1e-10
 
     def test_divergence_raises_with_epoch(self):
         rng = np.random.default_rng(59)
