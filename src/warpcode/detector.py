@@ -179,11 +179,13 @@ class DetectorBank:
 
     def with_across_pool(self, across_pool: np.ndarray) -> "DetectorBank":
         across_pool = np.asarray(across_pool, dtype=np.float64)
-        if across_pool.shape[0] != self.n_detectors:
+        if across_pool.ndim != 2 or across_pool.shape[0] != self.n_detectors:
             raise DimensionError(
-                f"across_pool must have {self.n_detectors} rows, "
-                f"got {across_pool.shape[0]}"
+                f"across_pool must be 2-D with {self.n_detectors} rows, "
+                f"got shape {across_pool.shape}"
             )
+        if not np.isfinite(across_pool).all():
+            raise DataError("across_pool holds non-finite values")
         return replace(self, across_pool=across_pool)
 
 

@@ -29,7 +29,7 @@ from warpcode.errors import (
     SharedSubspaceError,
 )
 from warpcode.experiments import build_shift_bank
-from warpcode.model import GatedModel, infer_mappings
+from warpcode.model import GatedModel, infer_mappings, pooled_products
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import load_matrix, save_matrix
 from warpcode.warp_algebra import (
@@ -469,6 +469,35 @@ class TestDetectorBank:
         x, y = random_normalized(rng), random_normalized(rng)
         response = pooled_code(bank, x, y)
         np.testing.assert_allclose(response.pooled, response.per_detector)
+
+    def test_across_pool_must_be_two_dimensional_with_a_row_per_detector(self, shift16):
+        bank = build_bank_from_warp_family([shift16], [0.0, np.pi / 2])
+        for shape in [(bank.n_detectors,), (bank.n_detectors + 1, 2), (1, bank.n_detectors)]:
+            with pytest.raises(DimensionError):
+                bank.with_across_pool(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_across_pool_rejected(self, bad, shift16):
+        # a NaN pool would make every pooled code NaN, whose argmax answers 0
+        bank = build_bank_from_warp_family([shift16], [0.0, np.pi / 2])
+        pool = np.eye(bank.n_detectors)
+        pool[3, 3] = bad
+        with pytest.raises(DataError):
+            bank.with_across_pool(pool)
+
+    @pytest.mark.parametrize("dim", [5, 8, 16, 32])
+    def test_composed_readout_matches_the_pooled_code(self, dim):
+        # the oracle's readout: the within and across pools as one matrix
+        bank = build_shift_bank(dim)
+        rng = np.random.default_rng(100 + dim)
+        xs = normalize_rows(rng.standard_normal((200, dim)))[0]
+        shifted = np.roll(xs, 3, axis=1) + 0.3 * rng.standard_normal(xs.shape)
+        ys = normalize_rows(shifted)[0]
+        _, pooled = batch_pooled_responses(bank, xs, ys)
+        composed = pooled_products(bank, xs, ys, bank.within_pool.T @ bank.across_pool)
+        tolerance = 1e-12 * np.abs(pooled).max()
+        np.testing.assert_allclose(composed, pooled, rtol=0, atol=tolerance)
+        np.testing.assert_array_equal(composed.argmax(axis=1), pooled.argmax(axis=1))
 
     def test_argmax_identifies_shift_in_every_live_subspace(self):
         # Shifts by s are powers of the unit shift, so in the unit shift's

@@ -134,6 +134,13 @@ class TestOracle:
         assert (tmp_path / "o" / "aperture.csv").exists()
         assert (tmp_path / "o" / "manifest.txt").exists()
 
+    def test_noiseless_shift_recovery_at_dim_64(self, tmp_path):
+        cfg = ExperimentConfig.build(
+            "oracle", tmp_path / "o", seed=5, overrides={"dim": 64, "n_trials": 100}
+        )
+        report = run_detector_oracle(cfg)
+        np.testing.assert_array_equal(report.per_shift_accuracy, np.ones(64))
+
     def test_noisy_recovery_stays_high(self, tmp_path):
         cfg = ExperimentConfig.build(
             "oracle",
