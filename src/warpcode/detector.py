@@ -75,8 +75,11 @@ def subspace_angle_cos(
 
     Returns None when either projection norm falls below ``aperture_floor``:
     the relative angle is then unrecoverable (the aperture condition), and
-    normalizing would manufacture an answer out of noise.
+    normalizing would manufacture an answer out of noise.  A NaN floor, which
+    no norm falls below, raises DataError.
     """
+    if np.isnan(aperture_floor):
+        raise DataError("aperture_floor is NaN")
     if aperture_floor <= 0:
         raise ValueError("aperture_floor must be positive")
     px = np.array(project(block, x))

@@ -714,10 +714,16 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
 
         noise_rngs = rng.spawn(dim) if snr > 0 else None
         readout = bank.within_pool.T @ bank.across_pool  # P W, n_factors x n_outputs
+        # pooled_products(bank, signals, ys, readout) for every shift, with the
+        # x side, which no shift changes, formed once
+        fx = signals @ bank.input_filters
 
-        # A flat loop: at dim 32 and 1000 trials its peak RSS (median 66.72 MB
-        # over 17 runs) matched a per-shift function's (66.74 MB).
+        # A flat loop. Besides the per-shift temporaries it holds fx and two
+        # buffers every shift reuses, 1.25 MB at dim 32 and 1000 trials; with
+        # the two allocated per shift, the median peak RSS was 0.18 MB higher.
         hits = np.empty((dim, n_trials), dtype=bool)
+        gated = np.empty_like(fx)
+        scores = np.empty((n_trials, readout.shape[1]))
         for s in range(dim):
             ys = np.roll(signals, s, axis=1)
             if snr > 0:
@@ -725,7 +731,10 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
                 noise *= np.sqrt((ys**2).sum(axis=1, keepdims=True) / (snr * dim))
                 noise += ys  # in place: a third (n, dim) array raised the peak RSS
                 ys = normalize_rows(noise)[0]
-            hits[s] = np.argmax(pooled_products(bank, signals, ys, readout), axis=1) == s
+            np.matmul(ys, bank.output_filters, out=gated)
+            gated *= fx  # bit for bit fx * gated
+            np.matmul(gated, readout, out=scores)
+            hits[s] = np.argmax(scores, axis=1) == s
         correct = hits.sum(axis=1)
         per_shift = correct / n_trials
         accuracy = float(correct.sum() / (dim * n_trials))

@@ -21,9 +21,12 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 def save_matrix(path, matrix) -> None:
+    """Write a WMAT matrix; FormatError, before the file is opened, for
+    another rank or a non-finite entry, which ``load_matrix`` would refuse."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise FormatError(f"WMAT stores 2-D matrices, got ndim={matrix.ndim}")
+    _require_finite(matrix, Path(path).name)
     rows, cols = matrix.shape
     with open(path, "wb") as handle:
         handle.write(WMAT_HEADER.pack(WMAT_MAGIC, WMAT_VERSION, rows, cols))
@@ -54,10 +57,14 @@ def load_matrix(path) -> np.ndarray:
             f"(offset {WMAT_HEADER.size})"
         )
     matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    _require_finite(matrix, name)
+    return matrix
+
+
+def _require_finite(matrix: np.ndarray, name: str) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise FormatError(f"{name} row {bad[0]}: holds a non-finite entry")
-    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,10 @@ class SubspaceBlock:
 
     def rotated_basis(self, theta: float) -> tuple:
         """The basis rotated by ``theta`` in the subspace, ``(c b_r - s b_i,
-        s b_r + c b_i)`` or ``(c b_r,)``; at ``-angle``, the warp's image."""
+        s b_r + c b_i)`` or ``(c b_r,)``; at ``-angle``, the warp's image.
+        DataError for a NaN or infinite ``theta``, which would give NaN filters."""
+        if not np.isfinite(theta):
+            raise DataError(f"rotation angle {theta} is not finite")
         c, s = np.cos(theta), np.sin(theta)
         if self.basis_imag is None:
             # not c b_r - s 0, which flips the sign of -0 entries at -pi

@@ -1,11 +1,21 @@
 """Readers for the CSV and PGM files the package writes, for the tests
-that check those files' contents."""
+that check those files' contents, and a WMAT writer without
+``save_matrix``'s finiteness gate, for the tests that feed the loaders a
+non-finite entry."""
 
 from pathlib import Path
 
 import numpy as np
 
 from warpcode.errors import FormatError
+from warpcode.storage import WMAT_HEADER, WMAT_MAGIC, WMAT_VERSION
+
+
+def write_unchecked_wmat(path, matrix):
+    """``storage.save_matrix``'s bytes, NaN and infinite entries included."""
+    matrix = np.asarray(matrix, dtype="<f8")
+    header = WMAT_HEADER.pack(WMAT_MAGIC, WMAT_VERSION, *matrix.shape)
+    Path(path).write_bytes(header + np.ascontiguousarray(matrix).tobytes())
 
 
 def read_csv(path):

@@ -13,7 +13,7 @@ from warpcode.experiments import OPTION_CHOICES, build_shift_bank
 from warpcode.model import GatedModel, save_model
 from warpcode.storage import load_matrix, save_matrix
 
-from readers import read_csv
+from readers import read_csv, write_unchecked_wmat
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -313,7 +313,7 @@ def test_analyze_bank_with_a_bad_detector_table_exits_1_with_one_line(
     table = load_matrix(path)
     one_dim = [not bank.blocks[i].is_two_dimensional for i in bank.detector_block]
     table[one_dim.index(True), column] = value
-    save_matrix(path, table)
+    write_unchecked_wmat(path, table)
     args = ["analyze", "--bank", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -345,7 +345,7 @@ def test_analyze_bank_with_a_bad_file_exits_1_with_one_line(
 ):
     save_bank(build_shift_bank(16), tmp_path / "in")
     path = tmp_path / "in" / name
-    save_matrix(path, corrupt(load_matrix(path)))
+    write_unchecked_wmat(path, corrupt(load_matrix(path)))
     args = ["analyze", "--bank", str(tmp_path / "in"), "--out", str(tmp_path / "o")]
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -366,7 +366,7 @@ def _edit_manifest(edit):
 def _nan_entry(path):
     matrix = load_matrix(path)
     matrix[5, 2] = np.nan
-    save_matrix(path, matrix)
+    write_unchecked_wmat(path, matrix)
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])

@@ -20,7 +20,7 @@ from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import load_matrix, save_matrix, write_csv, write_pgm
 from warpcode.warp_algebra import rotate_image
 
-from readers import read_pgm
+from readers import read_pgm, write_unchecked_wmat
 
 
 def reference_contrast_normalize(raw):
@@ -626,9 +626,23 @@ class TestWmat:
     def test_non_finite_entry_rejected_naming_file_and_row(self, tmp_path, bad):
         matrix = np.ones((4, 3))
         matrix[2, 1] = bad
-        save_matrix(tmp_path / "m.wmat", matrix)
+        write_unchecked_wmat(tmp_path / "m.wmat", matrix)
         with pytest.raises(FormatError, match=r"^m\.wmat row 2: holds a non-finite entry$"):
             load_matrix(tmp_path / "m.wmat")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_not_written(self, tmp_path, bad):
+        matrix = np.ones((4, 3))
+        matrix[1, 2] = bad
+        with pytest.raises(FormatError, match=r"^m\.wmat row 1: holds a non-finite entry$"):
+            save_matrix(tmp_path / "m.wmat", matrix)
+        assert not (tmp_path / "m.wmat").exists()
+
+    def test_unchecked_writer_matches_save_matrix(self, tmp_path):
+        matrix = np.random.default_rng(4).standard_normal((3, 5))
+        save_matrix(tmp_path / "a.wmat", matrix)
+        write_unchecked_wmat(tmp_path / "b.wmat", matrix)
+        assert (tmp_path / "a.wmat").read_bytes() == (tmp_path / "b.wmat").read_bytes()
 
 
 def craft_idx_pair(tmp_path, images, labels):

@@ -31,7 +31,7 @@ from warpcode.errors import (
 from warpcode.experiments import build_shift_bank
 from warpcode.model import GatedModel, infer_mappings, pooled_products
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
-from warpcode.storage import load_matrix, save_matrix
+from warpcode.storage import load_matrix
 from warpcode.warp_algebra import (
     WarpMatrix,
     commutation_residual,
@@ -39,6 +39,8 @@ from warpcode.warp_algebra import (
     make_cyclic_shift,
     wrap_angle,
 )
+
+from readers import write_unchecked_wmat
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,12 @@ class TestSubspaceAngleCos:
         x = ImagePatch(block.basis_real, normalized=True)
         with pytest.raises(ValueError):
             subspace_angle_cos(block, x, x, aperture_floor=0.0)
+
+    def test_rejects_nan_floor(self, block):
+        # no norm falls below NaN, so it would skip the aperture test
+        x = ImagePatch(block.basis_real, normalized=True)
+        with pytest.raises(DataError, match="^aperture_floor is NaN$"):
+            subspace_angle_cos(block, x, x, aperture_floor=np.nan)
 
 
 class TestRotationDetector:
@@ -557,6 +565,17 @@ class TestDetectorBank:
         with pytest.raises(DataError):
             rotation_detector_response(block, bad, x, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_energy_and_sequence_detectors_reject_a_non_finite_angle(self, bad):
+        # NaN filters would answer NaN, where rotation_detector_response raises
+        block = decompose(make_cyclic_shift(8, 1)).two_dimensional_blocks()[0]
+        x = contrast_normalize(np.arange(8.0))
+        y = contrast_normalize(np.roll(np.arange(8.0), 1))
+        with pytest.raises(DataError, match="is not finite"):
+            energy_detector_response(block, bad, x, y)
+        with pytest.raises(DataError, match="is not finite"):
+            sequence_detector_response(block, bad, [x, y, x])
+
     def test_empty_grid_rejected(self, shift16):
         with pytest.raises(ValueError):
             build_bank_from_warp_family([shift16], [])
@@ -665,7 +684,7 @@ class TestDetectorBank:
             if not bank.blocks[index].is_two_dimensional
         )
         table[row, column] = value
-        save_matrix(tmp_path / "detector_table.wmat", table)
+        write_unchecked_wmat(tmp_path / "detector_table.wmat", table)
         with pytest.raises(FormatError, match=f"detector_table.wmat row {row}: "):
             load_bank(tmp_path)
 
@@ -833,7 +852,7 @@ class TestBankFiles:
         bank = build_shift_bank(16)
         assert bank.blocks[1].is_two_dimensional and bank.n_detectors == 116
         save_bank(bank, tmp_path)
-        save_matrix(tmp_path / name, corrupt(load_matrix(tmp_path / name)))
+        write_unchecked_wmat(tmp_path / name, corrupt(load_matrix(tmp_path / name)))
         with pytest.raises(FormatError, match=message):
             load_bank(tmp_path)
 

@@ -192,16 +192,20 @@ class TestOracle:
                     expected[det, s] = 1.0
         np.testing.assert_array_equal(shift_readout_pool(bank, dim), expected)
 
-    def test_matches_row_by_row_reference(self, tmp_path):
-        dim, snr, n_trials, floor = 8, 5.0, 200, 0.3
+    # dim 32 is the benchmark's shape; the reference divides by snr, so > 0
+    @pytest.mark.parametrize(
+        "dim, snr, seed", [(8, 5.0, 6), (32, 10.0, 7)], ids=["dim8", "dim32"]
+    )
+    def test_matches_row_by_row_reference(self, tmp_path, dim, snr, seed):
+        n_trials, floor = 200, 0.3
         cfg = ExperimentConfig.build(
             "oracle",
             tmp_path / "r",
-            seed=6,
+            seed=seed,
             overrides={"dim": dim, "snr": snr, "n_trials": n_trials, "aperture_floor": floor},
         )
         report = run_detector_oracle(cfg)
-        per_shift, breakdown = reference_oracle(dim, snr, n_trials, floor, seed=6)
+        per_shift, breakdown = reference_oracle(dim, snr, n_trials, floor, seed=seed)
         np.testing.assert_array_equal(report.per_shift_accuracy, per_shift)
         assert report.aperture_breakdown == breakdown
 

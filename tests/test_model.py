@@ -40,7 +40,9 @@ from warpcode.model import (
     _one_sided_loss_and_grads,
 )
 from warpcode.patches import ImagePatch, contrast_normalize
-from warpcode.storage import load_matrix, save_matrix
+from warpcode.storage import load_matrix
+
+from readers import write_unchecked_wmat
 
 
 def identity_model(dim, nonlinearity="identity"):
@@ -756,7 +758,7 @@ class TestCheckpointFiles:
         path = tmp_path / f"{name}.wmat"
         matrix = load_matrix(path)
         matrix[2, 1] = np.nan
-        save_matrix(path, matrix)
+        write_unchecked_wmat(path, matrix)
         with pytest.raises(FormatError, match=f"{name}.wmat row 2: holds a non-finite"):
             load_model(tmp_path)
 

@@ -368,6 +368,13 @@ class TestSubspaceBlock:
             for image, vec in zip(images, block.basis):
                 np.testing.assert_allclose(image, warp.entries @ vec, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rotated_basis_rejects_a_non_finite_angle(self, bad):
+        # 1-D and 2-D blocks alike: NaN filters would answer NaN silently
+        for block in decompose(make_cyclic_shift(8, 1)).blocks:
+            with pytest.raises(DataError, match="^rotation angle .* is not finite$"):
+                block.rotated_basis(bad)
+
     @pytest.mark.parametrize("warp", SUBSPACE_WARPS)
     def test_leakage_matches_the_projector_form(self, warp):
         rng = np.random.default_rng(31)
