@@ -24,6 +24,10 @@ from .patches import as_rows
 
 KNN_BLOCK = 64  # k-NN queries whose distances are held at once
 
+LOGISTIC_LEARNING_RATE = 1.0
+LOGISTIC_MOMENTUM = 0.9
+LOGISTIC_ITERATIONS = 600
+
 
 def _multinomial_grad(weights, intercept, features, features_t, one_hot_t, l2):
     """Class probabilities, shaped ``(classes, n)``, and the (weight,
@@ -57,20 +61,13 @@ class LogisticModel:
         return float((self.predict(features) == np.asarray(labels)).mean())
 
 
-def fit_logistic_regression(
-    features,
-    labels,
-    l2: float = 1e-3,
-    learning_rate: float = 1.0,
-    momentum: float = 0.9,
-    n_iterations: int = 600,
-) -> LogisticModel:
+def fit_logistic_regression(features, labels, l2: float = 1e-3) -> LogisticModel:
     """Deterministic full-batch gradient-descent fit (zero initialization).
 
     Features are standardized internally; the returned model folds the
     scaler in, so ``predict`` takes raw features.  The weight step is capped
     at ``1 / l2``, beyond which the penalty alone makes the iteration
-    diverge; the unpenalized intercept keeps ``learning_rate``.  The loop
+    diverge; the unpenalized intercept keeps ``LOGISTIC_LEARNING_RATE``.  The loop
     evaluates only the gradient, never the loss.  Non-finite features, and a
     fit that still ends non-finite, raise ``DataError``.
     """
@@ -91,15 +88,16 @@ def fit_logistic_regression(
     intercept = np.zeros(classes.size)
     velocity_w = np.zeros_like(weights)
     velocity_b = np.zeros_like(intercept)
-    weight_rate = min(learning_rate, 1.0 / l2) if l2 > 0 else learning_rate
-    for _ in range(n_iterations):
+    rate = LOGISTIC_LEARNING_RATE
+    weight_rate = min(rate, 1.0 / l2) if l2 > 0 else rate
+    for _ in range(LOGISTIC_ITERATIONS):
         _, grad_w, grad_b = _multinomial_grad(
             weights, intercept, standardized, standardized_t, one_hot_t, l2
         )
-        velocity_w *= momentum  # momentum * velocity - rate * grad, in place
+        velocity_w *= LOGISTIC_MOMENTUM  # momentum * velocity - rate * grad, in place
         velocity_w -= weight_rate * grad_w
-        velocity_b *= momentum
-        velocity_b -= learning_rate * grad_b
+        velocity_b *= LOGISTIC_MOMENTUM
+        velocity_b -= rate * grad_b
         weights += velocity_w
         intercept += velocity_b
     if not (np.isfinite(weights).all() and np.isfinite(intercept).all()):

@@ -1,9 +1,9 @@
 """Synthetic datasets: warped dot pairs, transformation videos, rotated glyphs.
 
 All emitted patches are contrast-normalized; generators are pure functions
-of their seed.  Dot-image rotations use the same warp definition as the
-analytic machinery (``warp_algebra.rotate_stack``), so train-time data and
-closed-form detectors agree on what "rotation" means.
+of their seed.  Dot images move by the stack operators of ``WARP_OPERATORS``
+(``shift_stack``, ``rotate_stack``), which also build the analytic warp
+matrices, so train-time data and closed-form detectors agree on each warp.
 
 The dot generators draw every random number in a per-item loop, the glyph
 generator one block of attempts per digit; then they warp, rasterize and
@@ -23,7 +23,7 @@ from .patches import ImagePatch, contrast_normalize, normalize_rows  # noqa: F40
 from .storage import read_idx, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 # perfbench/tracer.py times warpcode.dataset.rotate_image and contrast_normalize,
 # so the names stay bound here although the generators work on whole stacks
-from .warp_algebra import rotate_image, rotate_stack  # noqa: F401
+from .warp_algebra import rotate_image, rotate_stack, shift_stack  # noqa: F401
 
 Geometry = Union[int, Tuple[int, int]]
 
@@ -36,7 +36,9 @@ MAX_DOT_DRAWS = 1000
 GLYPH_BLOCK = 8  # glyphs whose segment distances are held at once
 
 SPLIT_TAGS = ("train", "holdout", "test")
-PAIR_FAMILIES = ("cyclic_shift", "rotation", "mixed")
+# each warp family's stack operator, the one definition of its warp
+WARP_OPERATORS = {"cyclic_shift": shift_stack, "rotation": rotate_stack}
+PAIR_FAMILIES = (*WARP_OPERATORS, "mixed")
 
 
 def _geometry_dim(geometry: Geometry) -> int:
@@ -169,37 +171,24 @@ def _draw_warp(rng, geometry, family):
     shape = _geometry_shape(geometry)
     if family == "cyclic_shift":
         if shape is None:
-            offset = int(rng.integers(0, _geometry_dim(geometry)))
-            return WarpLabel("cyclic_shift", offset)
-        height, width = shape
-        dx = int(rng.integers(0, width))
-        dy = int(rng.integers(0, height))
-        return WarpLabel("cyclic_shift", (dx, dy))
-    if family == "rotation":
-        if shape is None:
-            raise DimensionError("rotation pairs need a 2-D geometry")
+            return WarpLabel(family, int(rng.integers(0, _geometry_dim(geometry))))
+        dx, dy = (int(rng.integers(0, size)) for size in shape[::-1])  # width, then height
+        return WarpLabel(family, (dx, dy))
+    if family == "rotation":  # _warp refuses a 1-D geometry
         return WarpLabel("rotation", float(rng.uniform(-np.pi, np.pi)))
     raise DataError(f"unknown warp family {family!r}")
 
 
 def _warp(rows, family, parameters, geometry):
     """Each row of an ``(m, dim)`` array warped by its own parameter of one
-    family: one stack rotation, or one index gather for the shifts."""
+    family, as one call of the family's stack operator; a 1-D geometry is
+    one pixel row, shifted by ``(s, 0)``."""
     shape = _geometry_shape(geometry)
-    if family == "rotation":
-        if shape is None:
+    if shape is None:
+        if family == "rotation":
             raise DimensionError("rotations need a 2-D geometry")
-        return rotate_stack(rows.reshape(-1, *shape), parameters).reshape(rows.shape)
-    if shape is None:  # 1-D shifts by s: rows of one pixel row
-        height, width = 1, rows.shape[1]
-        dx, dy = np.asarray(parameters, dtype=np.int64)[:, None], 0
-    else:
-        height, width = shape
-        dx, dy = np.asarray(parameters, dtype=np.int64).reshape(-1, 2).T[:, :, None]
-    # np.roll's target pixel (r, c) takes source ((r - dy) % h, (c - dx) % w)
-    row, col = np.divmod(np.arange(height * width), width)
-    source = (row - dy) % height * width + (col - dx) % width
-    return np.take_along_axis(rows, source, axis=1)
+        shape, parameters = (1, rows.shape[1]), [(s, 0) for s in parameters]
+    return WARP_OPERATORS[family](rows.reshape(-1, *shape), parameters).reshape(rows.shape)
 
 
 def _normalize_or_raise(rows):
@@ -241,7 +230,7 @@ def gen_dot_pairs(
     parameters = [label.parameter for label in labels]
     if family == "mixed":
         raw_ys = np.empty_like(raw_xs)
-        for pick in ("cyclic_shift", "rotation"):
+        for pick in WARP_OPERATORS:
             chosen = [i for i, label in enumerate(labels) if label.family == pick]
             if chosen:
                 picked = [parameters[i] for i in chosen]
@@ -263,7 +252,7 @@ def _validate_schedule(schedule, n_frames):
         raise DataError("empty video schedule")
     cursor = 1
     for family, (first, last) in schedule:
-        if family not in ("cyclic_shift", "rotation"):
+        if family not in WARP_OPERATORS:
             raise DataError(f"unknown warp family {family!r}")
         if first != cursor:
             raise DataError(
@@ -280,14 +269,8 @@ def _draw_segment_parameter(rng, geometry, family):
     shape = _geometry_shape(geometry)
     if family == "cyclic_shift":
         if shape is None:
-            steps = [s for s in range(-2, 3) if s != 0]
-            return int(rng.choice(steps))
-        choices = [
-            (dx, dy)
-            for dx in range(-2, 3)
-            for dy in range(-2, 3)
-            if (dx, dy) != (0, 0)
-        ]
+            return int(rng.choice([-2, -1, 1, 2]))
+        choices = [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if dx or dy]
         return choices[int(rng.integers(0, len(choices)))]
     # rotation speed: magnitude in [pi/8, pi/3], random direction
     magnitude = rng.uniform(np.pi / 8, np.pi / 3)
@@ -490,8 +473,8 @@ def gen_rotated_glyphs(
 # IDX loading (optional real-data path)
 
 
-def load_idx(images_path, labels_path, split_tag: str = "train") -> LabeledImageSet:
-    """Load an IDX image/label file pair into a LabeledImageSet.
+def load_idx(images_path, labels_path) -> LabeledImageSet:
+    """Load an IDX image/label file pair into a LabeledImageSet tagged ``train``.
 
     Pixel values are scaled to [0, 1] and contrast-normalized per image.
     """
@@ -508,13 +491,9 @@ def load_idx(images_path, labels_path, split_tag: str = "train") -> LabeledImage
             f"got {labels.ndim} dimensions"
         )
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
-        )
+        raise FormatError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     n, height, width = images.shape
     flat = images.reshape(n, height * width).astype(np.float64) / 255.0
     normalized = normalize_rows(flat)[0]
-    split = np.full(n, split_tag)
-    return LabeledImageSet(
-        normalized, labels.astype(np.int64), split, (width, height)
-    )
+    split = np.full(n, "train")
+    return LabeledImageSet(normalized, labels.astype(np.int64), split, (width, height))

@@ -45,6 +45,8 @@ ANGLE_MATCH_TOL = 1e-9
 # considered unrecoverable (on unit-norm contrast-normalized patches).
 DEFAULT_APERTURE_FLOOR = 1e-3
 
+SHARED_SUBSPACE_TOL = 1e-6  # largest commutation residual or leakage of a shared family
+
 def _require_normalized(*patches):
     # Degenerate (zero) patches pass: they carry no contrast to normalize
     # and produce zero projections everywhere.
@@ -200,7 +202,7 @@ class DetectorResponse:
     pooled: np.ndarray
 
 
-def _check_shared_subspaces(decompositions, tol=1e-6):
+def _check_shared_subspaces(decompositions):
     """SharedSubspaceError unless each later member commutes with the first
     and maps each block of the first into itself; neither suffices alone."""
     first = decompositions[0]
@@ -210,7 +212,7 @@ def _check_shared_subspaces(decompositions, tol=1e-6):
         residual = commutation_residual(a, b)  # DimensionError if sizes differ
         leakage = max(k.leakage(b.entries @ v) for k in first.blocks for v in k.basis)
         worst = max(worst, residual, leakage)
-    if worst > tol:
+    if worst > SHARED_SUBSPACE_TOL:
         raise SharedSubspaceError(worst)
 
 

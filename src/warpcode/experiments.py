@@ -52,7 +52,7 @@ from .model import (
 # contrast_normalize is unused here but stays bound: perfbench/tracer.py rebinds it
 from .patches import contrast_normalize, normalize_rows
 from .storage import write_csv
-from .warp_algebra import decompose, make_cyclic_shift, wrap_angle
+from .warp_algebra import decompose, make_cyclic_shift, shift_stack, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +163,17 @@ OPTION_CHOICES = dict(
 
 
 def _coerce(text: str):
-    lowered = text.strip()
-    if lowered.lower() in ("true", "false"):
-        return lowered.lower() == "true"
-    try:
-        return int(lowered)
-    except ValueError:
-        pass
-    try:
-        return float(lowered)
-    except ValueError:
-        pass
-    if "," in lowered:  # a list; "100," is the list of one
-        return tuple(_coerce(part) for part in lowered.rstrip(",").split(","))
-    return lowered
+    text = text.strip()
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    if "," in text:  # a list; "100," is the list of one
+        return tuple(_coerce(part) for part in text.rstrip(",").split(","))
+    return text
 
 
 def _is_int(value) -> bool:
@@ -725,7 +722,7 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
         gated = np.empty_like(fx)
         scores = np.empty((n_trials, readout.shape[1]))
         for s in range(dim):
-            ys = np.roll(signals, s, axis=1)
+            ys = shift_stack(signals[:, None], (s, 0)).reshape(signals.shape)
             if snr > 0:
                 noise = noise_rngs[s].standard_normal(ys.shape)
                 noise *= np.sqrt((ys**2).sum(axis=1, keepdims=True) / (snr * dim))

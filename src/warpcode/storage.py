@@ -85,9 +85,7 @@ def read_idx(path) -> np.ndarray:
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
         raise FormatError(f"truncated IDX dimension list (offset {len(raw)})")
-    shape = tuple(
-        int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big") for i in range(ndim)
-    )
+    shape = tuple(int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big") for i in range(ndim))
     expected = int(np.prod(shape)) if shape else 0
     payload = raw[header_len:]
     if len(payload) != expected:
@@ -103,12 +101,13 @@ def read_idx(path) -> np.ndarray:
 
 
 def write_pgm(path, image) -> None:
-    """Write a 2-D uint8 array as a binary (P5) PGM with maxval 255."""
+    """Write a 2-D uint8 array as a binary (P5) PGM with maxval 255;
+    FormatError, before the file is opened, for a value outside [0, 255] or NaN."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise FormatError("PGM writer expects a 2-D array")
     if image.dtype != np.uint8:
-        if image.min() < 0 or image.max() > 255:
+        if not ((image >= 0) & (image <= 255)).all():
             raise FormatError("PGM values must lie in [0, 255]")
         image = image.astype(np.uint8)
     with open(path, "wb") as handle:

@@ -80,30 +80,53 @@ class WarpMatrix:
         return cls(warp.entries, float(np.abs(gram - np.eye(warp.dim)).max()))
 
 
+def _unit_image_warp(operator, height: int, width: int, parameter) -> WarpMatrix:
+    """Column ``j`` is the ``j``-th unit image of a ``height x width`` patch
+    under ``operator(stack, parameter)``, all ``d`` moved as one stack."""
+    d = height * width
+    columns = operator(np.eye(d).reshape(d, height, width), parameter)
+    return WarpMatrix.from_entries(np.ascontiguousarray(columns.reshape(d, d).T))
+
+
+def shift_stack(images: np.ndarray, offsets) -> np.ndarray:
+    """Shift each image of an ``(n, height, width)`` stack cyclically by an
+    integer ``(dx, dy)``, one pair for the stack or one per image: pixel
+    ``(r, c)`` moves to ``((r + dy) mod height, (c + dx) mod width)``, by
+    one index gather (one ``np.take`` for one pair); DataError for a non-integer offset."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3:
+        raise DimensionError(f"shift_stack expects an (n, h, w) stack, got {images.shape}")
+    n, height, width = images.shape
+    offsets = np.asarray(offsets)
+    if not n:  # nothing to shift; rotate_stack passes an empty stack too
+        return images.copy()
+    if offsets.dtype.kind not in "iu":
+        raise DataError(f"shift offsets must be integers, got dtype {offsets.dtype}")
+    if offsets.shape not in ((2,), (n, 2)):
+        raise DimensionError(f"{n} images need 1 or {n} (dx, dy) pairs, got shape {offsets.shape}")
+    dx, dy = np.moveaxis(offsets.astype(np.int64), -1, 0)[..., None]
+    row, col = np.divmod(np.arange(height * width), width)
+    source = (row - dy) % height * width + (col - dx) % width
+    flat = images.reshape(n, height * width)
+    if offsets.ndim == 1:
+        return np.take(flat, source, axis=1).reshape(images.shape)
+    return np.take_along_axis(flat, source, axis=1).reshape(images.shape)
+
+
 def make_cyclic_shift(n: int, s: int) -> WarpMatrix:
-    """Permutation warp mapping index ``i`` to ``(i + s) mod n``."""
+    """Permutation warp mapping index ``i`` to ``(i + s) mod n``: a ``1 x n``
+    image shifted by ``(s, 0)``."""
     if n < 2:
         raise DimensionError(f"cyclic shift needs dimension >= 2, got {n}")
-    entries = np.zeros((n, n))
-    idx = np.arange(n)
-    entries[(idx + s) % n, idx] = 1.0
-    return WarpMatrix(entries, 0.0)
+    return _unit_image_warp(shift_stack, 1, n, (s, 0))
 
 
 def make_translation_warp(width: int, height: int, dx: int, dy: int) -> WarpMatrix:
-    """Permutation warp translating a ``height x width`` patch with wrap-around.
-
-    Pixel ``(r, c)`` moves to ``((r + dy) mod height, (c + dx) mod width)``;
-    patches are flattened row-major.
-    """
+    """Permutation warp translating a ``height x width`` patch with wrap-around,
+    :func:`shift_stack` by ``(dx, dy)`` as a matrix."""
     if width < 2 or height < 2:
         raise DimensionError("translation warp needs width, height >= 2")
-    d = width * height
-    rows, cols = np.divmod(np.arange(d), width)
-    target = ((rows + dy) % height) * width + (cols + dx) % width
-    entries = np.zeros((d, d))
-    entries[target, np.arange(d)] = 1.0
-    return WarpMatrix(entries, 0.0)
+    return _unit_image_warp(shift_stack, height, width, (dx, dy))
 
 
 # --- rotation warps --------------------------------------------------------
@@ -167,13 +190,17 @@ def rotate_stack(images: np.ndarray, angles) -> np.ndarray:
     angle in blocks of ``ROTATE_BLOCK`` images, one FFT, multiply and
     inverse FFT per shear and block.  Images whose residual is 0 are not
     sheared.  Every image comes out bit for bit as it does rotated alone.
-    Non-square images only turn by angles up to pi/4.
+    Non-square images only turn by angles up to pi/4.  DataError for a NaN or inf angle.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
         raise DimensionError(f"rotate_stack expects an (n, h, w) stack, got {images.shape}")
     n, height, width = images.shape
-    folded = np.atleast_1d(wrap_angle(np.asarray(angles, dtype=np.float64)))
+    angles = np.asarray(angles, dtype=np.float64)
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise DataError(f"rotation angle {bad[0]} is not finite")
+    folded = np.atleast_1d(wrap_angle(angles))
     if folded.shape != (n,):
         raise DimensionError(f"{n} images need {n} angles, got shape {folded.shape}")
     if width == height:
@@ -217,9 +244,7 @@ def make_rotation_warp(width: int, height: int, angle: float) -> WarpMatrix:
     """
     if width < 3 or height < 3:
         raise DimensionError("rotation warp needs width, height >= 3")
-    d = width * height
-    columns = rotate_stack(np.eye(d).reshape(d, height, width), np.full(d, angle))
-    return WarpMatrix.from_entries(np.ascontiguousarray(columns.reshape(d, d).T))
+    return _unit_image_warp(rotate_stack, height, width, np.full(width * height, angle))
 
 
 def apply_warp(warp: WarpMatrix, patch: ImagePatch) -> ImagePatch:

@@ -18,7 +18,7 @@ from warpcode.dataset import (
 from warpcode.errors import DataError, DimensionError, FormatError
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import load_matrix, save_matrix, write_csv, write_pgm
-from warpcode.warp_algebra import rotate_image
+from warpcode.warp_algebra import make_cyclic_shift, make_translation_warp, rotate_image
 
 from readers import read_pgm, write_unchecked_wmat
 
@@ -291,6 +291,17 @@ class TestDotPairs:
             expected = rotate_image(data.xs[i].reshape(9, 9), angle).ravel()
             np.testing.assert_allclose(data.ys[i], expected, atol=1e-10)
 
+    def test_shift_pairs_consistent_with_warp(self):
+        data = gen_dot_pairs(20, (9, 7), family="cyclic_shift", density=0.2, seed=7)
+        for x, y, label in zip(data.xs, data.ys, data.labels):
+            dx, dy = label.parameter
+            expected = make_translation_warp(9, 7, dx, dy).entries @ x
+            np.testing.assert_allclose(y, expected, atol=1e-12)
+        data = gen_dot_pairs(20, 16, family="cyclic_shift", density=0.2, seed=8)
+        for x, y, label in zip(data.xs, data.ys, data.labels):
+            expected = make_cyclic_shift(16, label.parameter).entries @ x
+            np.testing.assert_allclose(y, expected, atol=1e-12)
+
     def test_mixed_family_draws_both(self):
         data = gen_dot_pairs(60, (8, 8), family="mixed", density=0.2, seed=11)
         families = {label.family for label in data.labels}
@@ -346,6 +357,25 @@ class TestVideos:
                     np.roll(clip[t].reshape(9, 9), (dy, dx), axis=(0, 1)).ravel(),
                     atol=1e-10,
                 )
+
+    @pytest.mark.parametrize(
+        "geometry, schedule, shift_warp",
+        [
+            (16, [("cyclic_shift", (1, 6))], lambda s: make_cyclic_shift(16, s)),
+            (
+                (7, 7),
+                [("rotation", (1, 3)), ("cyclic_shift", (4, 6))],
+                lambda step: make_translation_warp(7, 7, *step),
+            ),
+        ],
+    )
+    def test_shift_frames_consistent_with_warp(self, geometry, schedule, shift_warp):
+        videos = gen_videos(4, geometry, 6, schedule, density=0.3, seed=9)
+        for clip, descriptor in zip(videos.clips, videos.descriptors):
+            _, step, (first, last) = descriptor[-1]
+            warp = shift_warp(step).entries
+            for t in range(max(first, 2), last + 1):
+                np.testing.assert_allclose(clip[t - 1], warp @ clip[t - 2], atol=1e-12)
 
     def test_schedule_gap_rejected(self):
         with pytest.raises(DataError):
@@ -704,6 +734,13 @@ class TestPgm:
     def test_range_validation(self, tmp_path):
         with pytest.raises(FormatError):
             write_pgm(tmp_path / "bad.pgm", np.array([[300.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(FormatError, match=r"\[0, 255\]"):
+            write_pgm(path, np.array([[1.0, bad], [2.0, 3.0]]))
+        assert not path.exists()
 
 
 class TestCsv:

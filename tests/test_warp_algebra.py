@@ -23,6 +23,7 @@ from warpcode.warp_algebra import (
     rotate_image,
     rotate_stack,
     shared_subspace_alignment,
+    shift_stack,
     wrap_angle,
 )
 
@@ -93,6 +94,84 @@ class TestCyclicShift:
             np.sort(decomposition.angles()), [0.0, np.pi / 2, np.pi], atol=1e-12
         )
         assert sum(b.is_two_dimensional for b in decomposition.blocks) == 1
+
+
+def reference_cyclic_shift(n, s):
+    """The hand-built permutation ``make_cyclic_shift`` once assembled."""
+    entries = np.zeros((n, n))
+    idx = np.arange(n)
+    entries[(idx + s) % n, idx] = 1.0
+    return entries
+
+
+def reference_translation_warp(width, height, dx, dy):
+    """The hand-built permutation ``make_translation_warp`` once assembled."""
+    d = width * height
+    rows, cols = np.divmod(np.arange(d), width)
+    target = ((rows + dy) % height) * width + (cols + dx) % width
+    entries = np.zeros((d, d))
+    entries[target, np.arange(d)] = 1.0
+    return entries
+
+
+class TestShiftStack:
+    @pytest.mark.parametrize("n, height, width", [(1, 1, 2), (7, 1, 16), (6, 5, 5), (9, 4, 7)])
+    def test_per_image_offsets_equal_np_roll_bitwise(self, n, height, width):
+        rng = np.random.default_rng(n * height * width)
+        images = rng.standard_normal((n, height, width))
+        # negative and out-of-range offsets included
+        offsets = np.stack(
+            [rng.integers(-3 * width, 3 * width, n), rng.integers(-3 * height, 3 * height, n)], axis=1
+        )
+        shifted = shift_stack(images, offsets)
+        for image, (dx, dy), got in zip(images, offsets, shifted):
+            assert np.array_equal(got, np.roll(image, (dy, dx), axis=(0, 1)))
+        as_list = shift_stack(images, [tuple(int(v) for v in pair) for pair in offsets])
+        assert np.array_equal(as_list, shifted)
+
+    @pytest.mark.parametrize("offset", [(0, 0), (1, 0), (0, -1), (-3, 2), (17, -11)])
+    def test_one_pair_for_the_stack_equals_np_roll_bitwise(self, offset):
+        images = np.random.default_rng(3).standard_normal((4, 5, 6))
+        dx, dy = offset
+        want = np.roll(images, (dy, dx), axis=(1, 2))
+        assert np.array_equal(shift_stack(images, offset), want)
+        per_image = shift_stack(images, np.tile(offset, (4, 1)))
+        assert np.array_equal(per_image, want)
+
+    @pytest.mark.parametrize("offsets", [(1.5, 0), (1.0, 2.0), [(1, 0), (0.5, 1)], np.array([True, False])])
+    def test_non_integer_offsets_rejected(self, offsets):
+        with pytest.raises(DataError, match="integers"):
+            shift_stack(np.zeros((2, 3, 3)), offsets)
+
+    def test_offsets_need_one_pair_or_one_per_image(self):
+        for offsets in ([1, 2, 3], [(1, 2)] * 3, [[[1, 2]]] * 2):
+            with pytest.raises(DimensionError):
+                shift_stack(np.zeros((2, 3, 3)), offsets)
+        with pytest.raises(DimensionError):
+            shift_stack(np.zeros((3, 3)), (1, 0))
+
+    def test_empty_stack_comes_back_empty(self):
+        assert shift_stack(np.zeros((0, 3, 4)), []).shape == (0, 3, 4)
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (5, -3), (8, 0), (16, 5), (7, 23)])
+    def test_cyclic_shift_is_the_hand_built_permutation(self, n, s):
+        warp = make_cyclic_shift(n, s)
+        assert np.array_equal(warp.entries, reference_cyclic_shift(n, s))
+        assert warp.orthogonality_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "width, height, dx, dy", [(2, 2, 1, 1), (5, 3, -2, 4), (13, 13, 1, 0), (4, 7, 9, -8)]
+    )
+    def test_translation_is_the_hand_built_permutation(self, width, height, dx, dy):
+        warp = make_translation_warp(width, height, dx, dy)
+        assert np.array_equal(warp.entries, reference_translation_warp(width, height, dx, dy))
+        assert warp.orthogonality_residual == 0.0
+
+    def test_shift_warps_reject_non_integer_offsets(self):
+        with pytest.raises(DataError):
+            make_cyclic_shift(8, 1.5)
+        with pytest.raises(DataError):
+            make_translation_warp(4, 4, 0.5, 0)
 
 
 def reference_rotate_image(image, angle):
@@ -214,6 +293,16 @@ class TestRotationWarp:
     def test_small_patch_rejected(self):
         with pytest.raises(DimensionError):
             make_rotation_warp(2, 5, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        image = np.arange(25.0).reshape(5, 5)
+        with pytest.raises(DataError, match="not finite"):
+            rotate_image(image, bad)
+        with pytest.raises(DataError, match="not finite"):
+            make_rotation_warp(5, 5, bad)
+        with pytest.raises(DataError, match="not finite"):
+            rotate_stack(np.stack([image] * 3), [0.3, bad, -1.2])
 
     def test_non_square_large_angle_rejected(self):
         with pytest.raises(DimensionError):
