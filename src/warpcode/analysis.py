@@ -20,6 +20,8 @@ from .storage import write_csv, write_pgm
 
 QUADRATURE_CSV_HEADER = ["pair_index", "theta_hat", "fit_r2", "spectral_overlap"]
 
+MIN_CONSISTENCY_FRAMES = 3  # two frames fit any rotation speed exactly
+
 
 def _pair_stack(pairs, name):
     """``pairs``, a ``(dim, 2)`` pair or a ``(k, dim, 2)`` stack, as a C-contiguous
@@ -157,8 +159,8 @@ def eigenmovie_consistency(filter_frames):
     frames = frames[None] if single else frames
     if frames.ndim != 3:
         raise DimensionError("filter sequence must be (n_frames, dim) or a stack")
-    if frames.shape[1] < 3:
-        raise DimensionError("consistency fit needs at least 3 frames")
+    if frames.shape[1] < MIN_CONSISTENCY_FRAMES:
+        raise DimensionError(f"consistency fit needs at least {MIN_CONSISTENCY_FRAMES} frames")
     if not np.isfinite(frames).all():
         raise DataError("filter sequence holds non-finite values")
     total = np.sum(frames * frames, axis=(1, 2))

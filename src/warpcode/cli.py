@@ -32,20 +32,10 @@ from .model import image_codes, load_model, save_model
 from .storage import load_matrix, save_matrix, write_csv
 
 
-def _parse_overrides(pairs):
-    overrides = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = experiments._coerce(value)
-    return overrides
-
-
 def _config(name, args):
     """``name``'s options from ``--config``, then ``--seed`` as if it were
     ``--set seed=N``, then ``--set``."""
-    overrides = _parse_overrides(args.set)
+    overrides = dict(experiments.read_option(item, "--set") for item in args.set or [])
     if args.seed is not None:
         overrides = {"seed": args.seed, **overrides}
     return experiments.ExperimentConfig.build(
@@ -96,11 +86,7 @@ def _cmd_gen(args):
     geometry = (p["width"], p["height"])
     if args.kind == "pairs":
         data = gen_dot_pairs(
-            p["n_pairs"],
-            geometry,
-            family=p["family"],
-            density=p["density"],
-            seed=cfg.seed,
+            p["n_pairs"], geometry, family=p["family"], density=p["density"], seed=cfg.seed
         )
         save_matrix(out / "xs.wmat", data.xs)
         save_matrix(out / "ys.wmat", data.ys)
@@ -110,13 +96,9 @@ def _cmd_gen(args):
             [(l.family, l.parameter) for l in data.labels],
         )
     elif args.kind == "videos":
+        schedule = experiments.FIG3_SCHEDULES["shift"](p["n_frames"])
         videos = gen_videos(
-            p["n_clips"],
-            geometry,
-            p["n_frames"],
-            experiments.FIG3_SCHEDULES["shift"](p["n_frames"]),
-            density=p["density"],
-            seed=cfg.seed,
+            p["n_clips"], geometry, p["n_frames"], schedule, density=p["density"], seed=cfg.seed
         )
         save_matrix(out / "clips.wmat", videos.concatenated())
     else:

@@ -4,6 +4,11 @@ All emitted patches are contrast-normalized; generators are pure functions
 of their seed.  Dot images move by the stack operators of ``WARP_OPERATORS``
 (``shift_stack``, ``rotate_stack``), which also build the analytic warp
 matrices, so train-time data and closed-form detectors agree on each warp.
+Each generator refuses what it cannot make before its first draw: warp
+families a geometry cannot take (``check_warp_families``: a rotation needs
+a square 2-D patch), dot images whose draws would not end
+(``dot_image_dim``) and glyphs below ``GLYPH_MIN_SIDE``; the options check
+of ``warpcode.experiments`` calls the same checks, with ``glyph_split``.
 
 The dot generators draw every random number in a per-item loop, the glyph
 generator one block of attempts per digit; then they warp, rasterize and
@@ -34,11 +39,13 @@ DOT_DENSITY_DEFAULT = 0.1
 MAX_DOT_DRAWS = 1000
 
 GLYPH_BLOCK = 8  # glyphs whose segment distances are held at once
+GLYPH_MIN_SIDE = 16  # the least glyph width and height the strokes fit in
 
 SPLIT_TAGS = ("train", "holdout", "test")
 # each warp family's stack operator, the one definition of its warp
 WARP_OPERATORS = {"cyclic_shift": shift_stack, "rotation": rotate_stack}
-PAIR_FAMILIES = (*WARP_OPERATORS, "mixed")
+# each pair family and the warp families its pairs move by
+PAIR_FAMILIES = {family: (family,) for family in WARP_OPERATORS} | {"mixed": (*WARP_OPERATORS,)}
 
 
 def _geometry_dim(geometry: Geometry) -> int:
@@ -134,6 +141,24 @@ class LabeledImageSet:
 # warped dot pairs
 
 
+def check_warp_families(families, geometry):
+    """Check that the warp ``families`` can move images of ``geometry``:
+    ``DataError`` for a name outside ``WARP_OPERATORS``, ``DimensionError``
+    for a rotation of a 1-D geometry or of a non-square patch, which
+    ``rotate_stack`` turns by at most pi/4 while the generators draw any
+    angle."""
+    for family in families:
+        if family not in WARP_OPERATORS:
+            raise DataError(f"unknown warp family {family!r}")
+    shape = _geometry_shape(geometry)
+    if "rotation" in families and shape is None:
+        raise DimensionError("rotations need a 2-D geometry")
+    if "rotation" in families and shape[0] != shape[1]:
+        raise DimensionError(
+            f"rotations need square patches, got width {shape[1]} x height {shape[0]}"
+        )
+
+
 def dot_image_dim(geometry, density) -> int:
     """The pixel count n of a dot image, once its draws are known to end.
 
@@ -174,9 +199,7 @@ def _draw_warp(rng, geometry, family):
             return WarpLabel(family, int(rng.integers(0, _geometry_dim(geometry))))
         dx, dy = (int(rng.integers(0, size)) for size in shape[::-1])  # width, then height
         return WarpLabel(family, (dx, dy))
-    if family == "rotation":  # _warp refuses a 1-D geometry
-        return WarpLabel("rotation", float(rng.uniform(-np.pi, np.pi)))
-    raise DataError(f"unknown warp family {family!r}")
+    return WarpLabel("rotation", float(rng.uniform(-np.pi, np.pi)))
 
 
 def _warp(rows, family, parameters, geometry):
@@ -184,9 +207,7 @@ def _warp(rows, family, parameters, geometry):
     family, as one call of the family's stack operator; a 1-D geometry is
     one pixel row, shifted by ``(s, 0)``."""
     shape = _geometry_shape(geometry)
-    if shape is None:
-        if family == "rotation":
-            raise DimensionError("rotations need a 2-D geometry")
+    if shape is None:  # only shifts: check_warp_families refuses 1-D rotations
         shape, parameters = (1, rows.shape[1]), [(s, 0) for s in parameters]
     return WARP_OPERATORS[family](rows.reshape(-1, *shape), parameters).reshape(rows.shape)
 
@@ -209,14 +230,15 @@ def gen_dot_pairs(
     """Random binary dot images paired with a warped copy.
 
     ``family`` is ``cyclic_shift`` (1-D shifts or 2-D wrap-around
-    translations), ``rotation`` (2-D only), or ``mixed`` (fair coin per pair
-    between translation and rotation).  Warp parameters are drawn uniformly;
+    translations), ``rotation`` (square 2-D patches only), or ``mixed`` (fair
+    coin per pair between translation and rotation), checked by
+    ``check_warp_families`` before any draw.  Warp parameters are drawn uniformly;
     the label records family and parameter.  Every pair is drawn first; then
     all pairs of a family are warped as one stack, and the raw x and y rows
     are contrast-normalized once per side.
     """
-    if family not in PAIR_FAMILIES:
-        raise DataError(f"unknown warp family {family!r}")
+    # an unknown name stands for itself, and the check refuses it
+    check_warp_families(PAIR_FAMILIES.get(family, (family,)), geometry)
     dim = dot_image_dim(geometry, density)
     rng = np.random.default_rng(seed)
     raw_xs = np.empty((n_pairs, dim))
@@ -251,9 +273,7 @@ def _validate_schedule(schedule, n_frames):
     if not schedule:
         raise DataError("empty video schedule")
     cursor = 1
-    for family, (first, last) in schedule:
-        if family not in WARP_OPERATORS:
-            raise DataError(f"unknown warp family {family!r}")
+    for _, (first, last) in schedule:
         if first != cursor:
             raise DataError(
                 f"schedule gap or overlap: segment starts at {first}, expected {cursor}"
@@ -296,6 +316,7 @@ def gen_videos(
     """
     schedule = [(family, (int(a), int(b))) for family, (a, b) in schedule]
     _validate_schedule(schedule, n_frames)
+    check_warp_families([family for family, _ in schedule], geometry)
     dim = dot_image_dim(geometry, density)
     rng = np.random.default_rng(seed)
     current = np.empty((n_clips, dim))
@@ -419,6 +440,15 @@ def render_glyph_stack(digit, geometry, thickness, offsets, scales, rotations):
     return np.clip(1.0 - np.sqrt(squared) / np.reshape(thickness, (-1, 1, 1)), 0.0, 1.0)
 
 
+def glyph_split(n_per_class: int) -> Tuple[int, int, int]:
+    """The (train, holdout, test) counts of ``gen_rotated_glyphs``' glyphs:
+    30% of all test, a tenth of the rest holdout, rounded."""
+    total = len(GLYPH_STROKES) * n_per_class
+    n_test = int(round(total * 0.3))
+    n_holdout = int(round((total - n_test) * 0.1))
+    return total - n_test - n_holdout, n_holdout, n_test
+
+
 def gen_rotated_glyphs(
     n_per_class: int,
     geometry: Tuple[int, int],
@@ -430,15 +460,15 @@ def gen_rotated_glyphs(
     Ten stroke templates stand in for handwritten digits; each instance gets
     thickness/offset/scale jitter, a rotation uniform on (-max_rotation,
     max_rotation], and contrast normalization.  Split tags partition the set
-    into 63% train / 7% holdout (a tenth of the training pool) / 30% test.
+    as ``glyph_split`` counts: about 63% train / 7% holdout / 30% test.
     Each digit draws the attempts it still needs as one block, rasterizes and
     normalizes it, and keeps the non-degenerate glyphs; only the shortfall is
     drawn again.  ``Generator.uniform(low, high)`` is ``low + (high - low) *
     random()``, so glyphs and random stream equal one attempt at a time.
     """
     width, height = geometry
-    if width < 16 or height < 16:
-        raise DimensionError("glyph geometry must be at least 16x16")
+    if width < GLYPH_MIN_SIDE or height < GLYPH_MIN_SIDE:
+        raise DimensionError(f"glyph geometry must be at least {GLYPH_MIN_SIDE}x{GLYPH_MIN_SIDE}")
     rng = np.random.default_rng(seed)
     total = 10 * n_per_class
     images = np.empty((total, width * height))
@@ -460,13 +490,9 @@ def gen_rotated_glyphs(
     labels = np.repeat(np.arange(10), n_per_class)
     order = rng.permutation(total)
     images, labels = images[order], labels[order]
-    split = np.empty(total, dtype=object)
-    n_test = int(round(total * 0.3))
-    n_holdout = int(round((total - n_test) * 0.1))
-    split[:n_test] = "test"
-    split[n_test : n_test + n_holdout] = "holdout"
-    split[n_test + n_holdout :] = "train"
-    return LabeledImageSet(images, labels, split.astype(str), geometry)
+    n_train, n_holdout, n_test = glyph_split(n_per_class)
+    split = np.repeat(["test", "holdout", "train"], [n_test, n_holdout, n_train])
+    return LabeledImageSet(images, labels, split, geometry)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .warp_algebra import (
     SubspaceDecomposition,
     WarpMatrix,
     commutation_residual,
+    gram_deviation,
     wrap_angle,
 )
 
@@ -373,7 +374,7 @@ def load_bank(directory) -> DetectorBank:
             f"block_table.wmat row {bad[0]}: kind flag {kinds[bad[0]]:g} is not 0 or 1"
         )
     basis = np.concatenate([bases_real, bases_imag[:, kinds == 1.0]], axis=1)
-    deviation = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0)
+    deviation = gram_deviation(basis)
     if deviation > ALGEBRAIC_TOL:
         raise FormatError(
             f"bases_real.wmat, bases_imag.wmat: block bases are not orthonormal "

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .analysis import (
+    MIN_CONSISTENCY_FRAMES,
     QUADRATURE_CSV_HEADER,
     QuadratureReport,
     eigenmovie_consistency,
@@ -28,16 +29,19 @@ from .analysis import (
 )
 from .classifiers import fit_logistic_regression, fit_pca, knn_accuracy
 from .dataset import (
+    GLYPH_MIN_SIDE,
     GLYPH_STROKES,
     PAIR_FAMILIES,
+    check_warp_families,
     dot_image_dim,
     gen_dot_pairs,
     gen_rotated_glyphs,
     gen_videos,
+    glyph_split,
 )
 # batch_pooled_responses is unused here but stays bound: perfbench/tracer.py rebinds it
 from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
-from .errors import ConfigError, DataError, DimensionError, LockError
+from .errors import ConfigError, DataError, DimensionError, LockError, ModelConfigError
 from .model import (
     NONLINEARITIES,
     POOLINGS,
@@ -52,7 +56,7 @@ from .model import (
 # contrast_normalize is unused here but stays bound: perfbench/tracer.py rebinds it
 from .patches import contrast_normalize, normalize_rows
 from .storage import write_csv
-from .warp_algebra import decompose, make_cyclic_shift, shift_stack, wrap_angle
+from .warp_algebra import MIN_SHIFT_DIM, decompose, make_cyclic_shift, shift_stack, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +184,15 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-# Integer options whose least value is not 1: fig3's consistency fit
-# (``eigenmovie_consistency``) needs at least three frames per clip, the
-# oracle's cyclic shift at least two pixels, and the glyph rasterizer
-# (``gen_rotated_glyphs``) at least 16x16 pixels.
-INTEGER_MINIMUMS = {("fig3", "n_frames"): 3, ("oracle", "dim"): 2} | {
-    (experiment, side): 16
+# Integer options whose least value is not 1, from the modules that need
+# them: fig3's consistency fit (``eigenmovie_consistency``), the oracle's
+# cyclic shift (``make_cyclic_shift``) and the glyph rasterizer
+# (``gen_rotated_glyphs``).
+INTEGER_MINIMUMS = {
+    (experiment, side): GLYPH_MIN_SIDE
     for experiment in ("fig4", "gen glyphs", "classify")
     for side in ("width", "height")
-}
+} | {("fig3", "n_frames"): MIN_CONSISTENCY_FRAMES, ("oracle", "dim"): MIN_SHIFT_DIM}
 
 
 def _option_error(key, default, value, least=1) -> Optional[str]:
@@ -220,18 +224,34 @@ def _option_error(key, default, value, least=1) -> Optional[str]:
     return None if ok else f"one of {', '.join(choices)}"
 
 
+def read_option(text: str, where: str):
+    """One ``key=value`` option as ``(key, value)``, the value typed by
+    ``_coerce``; ConfigError naming ``where`` (``file:line`` or ``--set``)
+    without an ``=``."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, _, raw = text.partition("=")
+    return key.strip(), _coerce(raw)
+
+
 def parse_config_file(path) -> Dict[str, object]:
     """Flat key=value configuration file; '#' starts a comment line."""
-    values: Dict[str, object] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = _coerce(raw)
-    return values
+    return dict(
+        read_option(line, f"{path}:{line_no}")
+        for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    )
+
+
+def _warp_families(experiment, params):
+    """The warp families that move a dot-drawing run's images."""
+    if experiment == "fig4":
+        return ("rotation",)
+    if "family" in params:
+        return PAIR_FAMILIES[params["family"]]
+    # fig3 by its variant; gen videos draws fig3's shift schedule
+    schedule = FIG3_SCHEDULES[params.get("variant", "shift")](params["n_frames"])
+    return [family for family, _ in schedule]
 
 
 @dataclass
@@ -247,11 +267,14 @@ class ExperimentConfig:
         ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then
         by ``config_file``, then by ``overrides``.  Every value set must
         pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
-        integer set for a list option is a list of one.  Runs that rotate
-        patches by any angle need ``width == height``, band pooling and a
-        positive ``pair_decorrelation`` an even ``n_factors``, and runs
-        that draw dot images (those with a ``density``) a geometry and
-        density that ``dataset.dot_image_dim`` accepts."""
+        integer set for a list option is a list of one.  Band pooling and a
+        positive ``pair_decorrelation`` need an even ``n_factors``.  Every
+        other rule is the check of the code that runs it, called here so
+        that a refused run draws, reads and makes nothing: the warp
+        families and dot images of runs with a ``density``
+        (``dataset.check_warp_families``, ``dataset.dot_image_dim``), the
+        training stages of runs with a ``momentum`` (``training_stages``)
+        and fig4's train sizes against ``dataset.glyph_split``."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -273,32 +296,37 @@ class ExperimentConfig:
             if expected:
                 raise ConfigError(f"option {key} must be {expected}, got {value!r}")
             params[key] = value
-        rotates = (
-            experiment == "fig4"
-            or params.get("family") in ("rotation", "mixed")
-            or params.get("variant") == "rotate_then_shift"
-        )
-        # a rotation warp turns a non-square patch by at most pi/4
-        if rotates and params["width"] != params["height"]:
-            raise ConfigError(
-                f"rotations need square patches, got width {params['width']} "
-                f"x height {params['height']}"
-            )
         # band pooling sums factors 2k and 2k+1, and the pair penalty aligns them
         odd = params.get("n_factors", 0) % 2
         if odd and (experiment in ("fig2", "fig4") or params.get("pooling") == "band"):
             raise ConfigError(f"band pooling needs an even n_factors, got {params['n_factors']}")
         if odd and params.get("pair_decorrelation"):
             raise ConfigError(f"pair_decorrelation needs an even n_factors, got {params['n_factors']}")
-        # dot images are redrawn until they hold a dot and a blank pixel
-        if "density" in params:
-            geometry = (params["width"], params["height"])
-            try:
+        try:
+            if "density" in params:
+                geometry = (params["width"], params["height"])
+                check_warp_families(_warp_families(experiment, params), geometry)
                 dot_image_dim(geometry, params["density"])
-            except (DataError, DimensionError) as error:
-                raise ConfigError(str(error)) from None
-        seed = params.pop("seed")
-        return cls(experiment, Path(out_dir), int(seed), params)
+            if "momentum" in params:
+                training_stages(params, params["seed"])
+        except (DataError, DimensionError, ModelConfigError) as error:
+            raise ConfigError(str(error)) from None
+        if experiment == "fig4":
+            sizes, k = params["train_sizes"], params["knn_k"]
+            n_train = glyph_split(params["glyphs_per_class"])[0]
+            if min(sizes) < len(GLYPH_STROKES):
+                raise ConfigError(
+                    f"train size {min(sizes)} is below {len(GLYPH_STROKES)}, "
+                    f"the number of glyph classes"
+                )
+            if max(sizes) > n_train:
+                raise ConfigError(
+                    f"train size {max(sizes)} exceeds the {n_train} training glyphs; "
+                    f"raise glyphs_per_class or lower train_sizes"
+                )
+            if k > min(sizes):
+                raise ConfigError(f"knn_k {k} exceeds the smallest train size {min(sizes)}")
+        return cls(experiment, Path(out_dir), params.pop("seed"), params)
 
 
 @contextmanager
@@ -349,15 +377,20 @@ def write_loss_curve(path, losses):
     write_csv(path, ["epoch", "loss"], list(enumerate(losses, start=1)))
 
 
-def _staged_learning_rates(base_rate, epochs):
-    """Split the epoch budget into a 3-stage annealing schedule."""
-    first = max(1, epochs // 2)
-    second = max(1, epochs // 3)
-    third = max(1, epochs - first - second)
+def training_stages(params, seed) -> List[TrainConfig]:
+    """The three annealing stages of ``fit_gated_model``: the epoch budget
+    split in about a half, a third and the rest, at 1, 0.3 and 0.05 times
+    ``params["learning_rate"]``; ``TrainConfig`` checks each."""
+    epochs, rate = params["epochs"], params["learning_rate"]
+    first, second = max(1, epochs // 2), max(1, epochs // 3)
+    schedule = [(rate, first), (rate * 0.3, second), (rate * 0.05, max(1, epochs - first - second))]
     return [
-        (base_rate, first),
-        (base_rate * 0.3, second),
-        (base_rate * 0.05, third),
+        TrainConfig(
+            learning_rate=stage_rate, epochs=stage_epochs, batch_size=params["batch_size"],
+            seed=seed + 10 + index, momentum=params["momentum"], symmetric=True,
+            pair_decorrelation=params.get("pair_decorrelation", 0.0),
+        )
+        for index, (stage_rate, stage_epochs) in enumerate(schedule)
     ]
 
 
@@ -370,39 +403,15 @@ def fit_gated_model(
     The gate gain is that of inputs standardized to unit mean square per
     dimension (``standardizing_gain``, see ``warpcode.model``), filters are
     seeded from ``seed + 1`` and the symmetric loss is minimized over the
-    three-stage annealing schedule of ``params["learning_rate"]`` and
-    ``params["epochs"]``.  Returns ``(model, epoch_losses)``.
+    three stages of ``training_stages``.  Returns ``(model, epoch_losses)``.
     """
     model = GatedModel.initialize(
-        xs.shape[1],
-        ys.shape[1],
-        int(params["n_factors"]),
-        int(params["n_mappings"]),
-        pooling=pooling,
-        nonlinearity=nonlinearity,
-        tied=tied,
-        seed=seed + 1,
-        gate_gain=standardizing_gain(xs, ys),
-    )
-    stages = _staged_learning_rates(
-        float(params["learning_rate"]), int(params["epochs"])
+        xs.shape[1], ys.shape[1], params["n_factors"], params["n_mappings"], pooling=pooling,
+        nonlinearity=nonlinearity, tied=tied, seed=seed + 1, gate_gain=standardizing_gain(xs, ys),
     )
     losses = []
-    for index, (rate, epochs) in enumerate(stages):
-        trace = train(
-            model,
-            (xs, ys),
-            TrainConfig(
-                learning_rate=rate,
-                epochs=epochs,
-                batch_size=int(params["batch_size"]),
-                seed=seed + 10 + index,
-                momentum=float(params["momentum"]),
-                symmetric=True,
-                pair_decorrelation=float(params.get("pair_decorrelation", 0.0)),
-            ),
-        )
-        losses.extend(trace.epoch_losses.tolist())
+    for config in training_stages(params, seed):
+        losses.extend(train(model, (xs, ys), config).epoch_losses.tolist())
     return model, losses
 
 
@@ -443,14 +452,10 @@ def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
 
 def run_fig2(cfg: ExperimentConfig) -> Fig2Report:
     p = cfg.params
-    geometry = (int(p["width"]), int(p["height"]))
+    geometry = (p["width"], p["height"])
     with _outputs(cfg) as out:
         data = gen_dot_pairs(
-            int(p["n_pairs"]),
-            geometry,
-            family=str(p["family"]),
-            density=float(p["density"]),
-            seed=cfg.seed,
+            p["n_pairs"], geometry, family=p["family"], density=p["density"], seed=cfg.seed
         )
         model, losses = fit_gated_model(data.xs, data.ys, p, cfg.seed)
         report = score_filter_bank_pairs(
@@ -511,17 +516,11 @@ class Fig3Report:
 
 def run_fig3(cfg: ExperimentConfig) -> Fig3Report:
     p = cfg.params
-    geometry = (int(p["width"]), int(p["height"]))
-    n_frames = int(p["n_frames"])
+    geometry, n_frames = (p["width"], p["height"]), p["n_frames"]
     schedule = FIG3_SCHEDULES[p["variant"]](n_frames)
     with _outputs(cfg) as out:
         videos = gen_videos(
-            int(p["n_clips"]),
-            geometry,
-            n_frames,
-            schedule,
-            density=float(p["density"]),
-            seed=cfg.seed,
+            p["n_clips"], geometry, n_frames, schedule, density=p["density"], seed=cfg.seed
         )
         rows_data = videos.concatenated()
         model, losses = fit_gated_model(
@@ -578,11 +577,6 @@ class Fig4Report:
 def _balanced_subset(labels, size):
     """Indices of ``size`` glyphs: the first ``size // classes`` of every
     glyph class, topped up in index order with glyphs not yet chosen."""
-    if size > labels.size:
-        raise ConfigError(
-            f"train size {size} exceeds the {labels.size} training glyphs; "
-            f"raise glyphs_per_class or lower train_sizes"
-        )
     per_class = size // len(GLYPH_STROKES)
     chosen = []
     for digit in range(len(GLYPH_STROKES)):
@@ -614,27 +608,12 @@ def glyph_accuracies(train, test, k=1) -> Dict[str, float]:
 
 def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
     p = cfg.params
-    geometry = (int(p["width"]), int(p["height"]))
-    sizes = [int(s) for s in p["train_sizes"]]
-    k = int(p["knn_k"])
-    if min(sizes) < len(GLYPH_STROKES):
-        raise ConfigError(
-            f"train size {min(sizes)} is below {len(GLYPH_STROKES)}, "
-            f"the number of glyph classes"
-        )
-    if k > min(sizes):
-        raise ConfigError(f"knn_k {k} exceeds the smallest train size {min(sizes)}")
+    geometry, sizes, k = (p["width"], p["height"]), p["train_sizes"], p["knn_k"]
     with _outputs(cfg) as out:
         dots = gen_dot_pairs(
-            int(p["n_pairs"]),
-            geometry,
-            family="rotation",
-            density=float(p["density"]),
-            seed=cfg.seed,
+            p["n_pairs"], geometry, family="rotation", density=p["density"], seed=cfg.seed
         )
-        glyphs = gen_rotated_glyphs(
-            int(p["glyphs_per_class"]), geometry, seed=cfg.seed + 2
-        )
+        glyphs = gen_rotated_glyphs(p["glyphs_per_class"], geometry, seed=cfg.seed + 2)
         train_x, train_y = glyphs.subset("train")
         test_x, test_y = glyphs.subset("test")
         subsets = [_balanced_subset(train_y, size) for size in sizes]
@@ -648,7 +627,7 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
         for size, subset in zip(sizes, subsets):
             raw_x, raw_y = train_x[subset], train_y[subset]
             per_size = glyph_accuracies((pooled_train[subset], raw_x, raw_y), test, k)
-            pca = fit_pca(raw_x, min(int(p["pca_components"]), size - 1))
+            pca = fit_pca(raw_x, min(p["pca_components"], size - 1))
             pca_x = pca.transform(raw_x)
             pca_test = pca.transform(test_x)
             per_size["pca_logreg"] = fit_logistic_regression(pca_x, raw_y).accuracy(
@@ -692,10 +671,7 @@ def build_shift_bank(dim: int) -> DetectorBank:
 
 def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
     p = cfg.params
-    dim = int(p["dim"])
-    n_trials = int(p["n_trials"])
-    snr = float(p["snr"])
-    floor = float(p["aperture_floor"])
+    dim, n_trials, snr, floor = p["dim"], p["n_trials"], p["snr"], p["aperture_floor"]
     with _outputs(cfg) as out:
         bank = build_shift_bank(dim)
         rng = np.random.default_rng(cfg.seed)

@@ -35,6 +35,14 @@ EXACT_ORTHOGONALITY_TOL = 1e-6
 # Tolerance for algebraic identities in double precision.
 ALGEBRAIC_TOL = 1e-8
 
+MIN_SHIFT_DIM = 2  # the least pixel count a cyclic shift moves
+
+
+def gram_deviation(basis) -> float:
+    """``max|A^T A - I|`` of a matrix ``A`` whose columns should be
+    orthonormal; 0 for no columns."""
+    return float(np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0))
+
 
 def wrap_angle(angle):
     """Map an angle to the interval (-pi, pi], elementwise on an array; a
@@ -76,8 +84,7 @@ class WarpMatrix:
     @classmethod
     def from_entries(cls, entries) -> "WarpMatrix":
         warp = cls(entries, 0.0)  # checks the shape and the entries first
-        gram = warp.entries.T @ warp.entries
-        return cls(warp.entries, float(np.abs(gram - np.eye(warp.dim)).max()))
+        return cls(warp.entries, gram_deviation(warp.entries))
 
 
 def _unit_image_warp(operator, height: int, width: int, parameter) -> WarpMatrix:
@@ -116,8 +123,8 @@ def shift_stack(images: np.ndarray, offsets) -> np.ndarray:
 def make_cyclic_shift(n: int, s: int) -> WarpMatrix:
     """Permutation warp mapping index ``i`` to ``(i + s) mod n``: a ``1 x n``
     image shifted by ``(s, 0)``."""
-    if n < 2:
-        raise DimensionError(f"cyclic shift needs dimension >= 2, got {n}")
+    if n < MIN_SHIFT_DIM:
+        raise DimensionError(f"cyclic shift needs dimension >= {MIN_SHIFT_DIM}, got {n}")
     return _unit_image_warp(shift_stack, 1, n, (s, 0))
 
 
@@ -351,7 +358,7 @@ class SubspaceDecomposition:
             raise DimensionError(
                 f"block dimensions sum to {total}, expected {self.dim}"
             )
-        gram_dev = self.basis_gram_deviation()
+        gram_dev = gram_deviation(self.basis_matrix())
         if gram_dev > ALGEBRAIC_TOL:
             raise OrthogonalityError(
                 f"decomposition basis is not orthonormal (deviation {gram_dev:.3g})"
@@ -360,10 +367,6 @@ class SubspaceDecomposition:
     def basis_matrix(self) -> np.ndarray:
         """All basis vectors as columns, in block order."""
         return np.stack([vec for b in self.blocks for vec in b.basis], axis=1)
-
-    def basis_gram_deviation(self) -> float:
-        basis = self.basis_matrix()
-        return float(np.abs(basis.T @ basis - np.eye(basis.shape[1])).max())
 
     def two_dimensional_blocks(self) -> tuple:
         return tuple(b for b in self.blocks if b.is_two_dimensional)

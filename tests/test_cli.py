@@ -44,6 +44,15 @@ def test_unknown_option_exits_2(tmp_path):
 TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
 
 
+def _refuse_every_draw(monkeypatch):
+    """Make drawing a dot image or rasterizing a glyph fail the test."""
+    def no_draw(*args):
+        raise AssertionError("drew data")
+
+    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    monkeypatch.setattr(dataset, "render_glyph_stack", no_draw)
+
+
 @pytest.mark.parametrize(
     "command, options",
     [
@@ -106,18 +115,31 @@ TINY_FIG2 = ["--set", "n_pairs=20", "--set", "width=9", "--set", "height=9"]
         ("train --data missing", ["--set", "nonlinearity=relu"]),
         ("fig3", ["--set", "variant=spin"]),
         ("gen pairs", ["--set", "family=spiral"]),
+        # TrainConfig takes momentum in [0, 1); the options check builds the
+        # training stages
+        ("fig2", ["--set", "momentum=1.0"]),
+        ("fig3", ["--set", "momentum=1.0"]),
+        ("fig4", ["--set", "momentum=1.0"]),
+        ("train --data missing", ["--set", "momentum=1.0"]),
     ],
 )
-def test_malformed_value_exits_2_with_one_line(tmp_path, capsys, command, options):
-    # options are checked before a data, model or bank directory is read
+def test_malformed_value_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, command, options
+):
+    # options are checked before any data is drawn, a data, model or bank
+    # directory is read or the output directory is made
+    _refuse_every_draw(monkeypatch)
     code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
     key, _, value = options[-1].partition("=")
     if key in OPTION_CHOICES and value not in OPTION_CHOICES[key]:  # the line names it
         assert err.startswith(f"configuration error: option {key} must be one of ")
+    if key == "momentum":  # TrainConfig's own line, not a missing --data
+        assert err == "configuration error: momentum must lie in [0, 1)\n"
 
 
 @pytest.mark.parametrize("command", ["gen pairs", "gen videos", "fig2", "fig3"])
@@ -125,10 +147,7 @@ def test_one_pixel_dot_images_exit_2_before_any_draw(
     tmp_path, capsys, monkeypatch, command
 ):
     # every draw of one pixel is constant, so redrawing it would never end
-    def no_draw(*args):
-        raise AssertionError("drew dots")
-
-    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    _refuse_every_draw(monkeypatch)
     size = ["--set", "width=1", "--set", "height=1"]
     code = main(command.split() + ["--out", str(tmp_path / "o")] + size)
     assert code == 2
@@ -143,10 +162,7 @@ def test_improbable_dot_draws_exit_2_before_any_draw(
     tmp_path, capsys, monkeypatch, command
 ):
     # a 13x13 draw at density 1e-12 holds a dot once in about 6e9 draws
-    def no_draw(*args):
-        raise AssertionError("drew dots")
-
-    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    _refuse_every_draw(monkeypatch)
     options = ["--set", "density=1e-12"]
     code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
     assert code == 2
@@ -160,10 +176,7 @@ def test_improbable_dot_draws_exit_2_before_any_draw(
 def test_odd_factor_count_under_band_pooling_exits_2_before_any_draw(
     tmp_path, capsys, monkeypatch, command
 ):
-    def no_draw(*args):
-        raise AssertionError("drew dots")
-
-    monkeypatch.setattr(dataset, "_random_dots", no_draw)
+    _refuse_every_draw(monkeypatch)
     options = ["--set", "n_factors=41"]
     code = main(command.split() + ["--out", str(tmp_path / "o")] + options)
     assert code == 2
@@ -413,8 +426,10 @@ def test_classify_geometry_off_the_checkpoint_dim_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys):
-    # 5 glyphs per class leave 31 training glyphs, fewer than 500
+def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys, monkeypatch):
+    # 5 glyphs per class leave 31 training glyphs, fewer than 500; the
+    # split is known before any dot or glyph is drawn
+    _refuse_every_draw(monkeypatch)
     settings = [
         "n_pairs=20",
         "n_factors=4",
@@ -429,6 +444,15 @@ def test_fig4_train_size_beyond_the_glyph_split_exits_2(tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert "500" in err and "31" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_set_without_an_equals_sign_names_its_source(tmp_path, capsys):
+    assert main(["oracle", "--out", str(tmp_path / "o"), "--set", "dim"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --set: expected key=value, got 'dim'\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_fig4_runs_a_single_train_size(tmp_path):

@@ -311,6 +311,29 @@ class TestDotPairs:
         with pytest.raises(DataError):
             gen_dot_pairs(5, 16, density=0.0)
 
+    @pytest.mark.parametrize("geometry", [16, (13, 14)], ids=["1-D", "13x14"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rotations_of_a_1d_or_non_square_geometry_refused_before_any_draw(
+        self, geometry, seed, monkeypatch
+    ):
+        # whatever the seed's draws would pick, no dot is drawn
+        def no_draw(*args):
+            raise AssertionError("drew dots")
+
+        monkeypatch.setattr(dataset, "_random_dots", no_draw)
+        for family in ("rotation", "mixed"):
+            with pytest.raises(DimensionError, match="rotations need"):
+                gen_dot_pairs(1, geometry, family=family, density=0.3, seed=seed)
+        schedule = [("cyclic_shift", (1, 2)), ("rotation", (3, 4))]
+        with pytest.raises(DimensionError, match="rotations need"):
+            gen_videos(1, geometry, 4, schedule, density=0.3, seed=seed)
+
+    @pytest.mark.parametrize("family", ["spiral", "mixed"])
+    def test_unknown_video_family_rejected(self, family):
+        # a video segment moves by one warp family; "mixed" is a pair family
+        with pytest.raises(DataError, match="unknown warp family"):
+            gen_videos(2, 16, 4, [(family, (1, 4))])
+
     def test_pairs_are_normalized(self):
         data = gen_dot_pairs(10, 16, density=0.2, seed=13)
         x, y, label = data.pair(3)
@@ -527,6 +550,15 @@ class TestGlyphs:
         glyphs = gen_rotated_glyphs(10, (16, 16), seed=2)
         total = sum((glyphs.split == t).sum() for t in ("train", "holdout", "test"))
         assert total == len(glyphs)
+
+    @pytest.mark.parametrize(
+        "per_class, counts", [(1, (6, 1, 3)), (5, (31, 4, 15)), (25, (157, 18, 75))]
+    )
+    def test_split_counts_are_glyph_split(self, per_class, counts):
+        # (train, holdout, test): 30% test, a tenth of the rest holdout
+        assert dataset.glyph_split(per_class) == counts
+        glyphs = gen_rotated_glyphs(per_class, (16, 16), seed=2, max_rotation=0.0)
+        assert tuple((glyphs.split == t).sum() for t in ("train", "holdout", "test")) == counts
 
     def test_unrotated_glyphs_separable_by_nearest_centroid(self):
         # Recorded run: 95.8% on seed 5; the gate is 90%.

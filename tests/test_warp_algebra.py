@@ -16,6 +16,7 @@ from warpcode.warp_algebra import (
     commutation_residual,
     decompose,
     decompose_approx,
+    gram_deviation,
     make_cyclic_shift,
     make_rotation_warp,
     make_translation_warp,
@@ -332,6 +333,15 @@ def test_warp_with_a_non_finite_entry_rejected(bad):
         WarpMatrix.from_entries(entries)
     with pytest.raises(DataError, match="NaN or an infinity"):
         WarpMatrix(entries, 0.0)
+
+
+def test_gram_deviation_is_the_largest_entry_of_ata_minus_i():
+    rng = np.random.default_rng(4)
+    basis = rng.standard_normal((9, 4))
+    want = np.abs(basis.T @ basis - np.eye(4)).max()
+    assert gram_deviation(basis) == want
+    assert WarpMatrix.from_entries(basis[:4]).orthogonality_residual == gram_deviation(basis[:4])
+    assert gram_deviation(np.empty((9, 0))) == 0.0  # no columns, nothing off
 
 
 class TestDecompose:
