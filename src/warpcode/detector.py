@@ -161,10 +161,10 @@ class DetectorBank:
     ``input_filters`` (applied to x) and ``output_filters`` (applied to y)
     hold one column per factor, four per 2-D block, ``(b_r, b_i, b_r, b_i)``
     and ``(b_r, b_i, b_i, b_r)``, and one per 1-D block, ``b_r`` on both
-    sides.  ``within_pool`` (one row per detector) mixes its block's factor
-    products with ``(cos, cos, sin, -sin)`` of its angle, or ``cos`` on a 1-D
-    block; ``across_pool`` maps detector responses to pooled outputs.  A
-    detector's own rotated filters are ``block.rotated_basis(angle)``.
+    sides.  ``within_pool`` (P, one column per detector) mixes its block's
+    factor products with ``(cos, cos, sin, -sin)`` of its angle, or ``cos``
+    on a 1-D block; ``across_pool`` (W) maps detector responses to pooled
+    outputs.  A detector's own rotated filters are ``block.rotated_basis(angle)``.
     """
 
     blocks: tuple
@@ -172,7 +172,7 @@ class DetectorBank:
     detector_angle: np.ndarray  # preferred angle per detector
     input_filters: np.ndarray  # d x n_factors
     output_filters: np.ndarray  # d x n_factors
-    within_pool: np.ndarray  # n_detectors x n_factors
+    within_pool: np.ndarray  # n_factors x n_detectors
     across_pool: np.ndarray  # n_detectors x n_outputs
 
     @property
@@ -269,7 +269,7 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
     ``blocks``.
 
     A 2-D block's four factor products are ``x_r y_r, x_i y_i, x_r y_i,
-    x_i y_r`` (``x_r = b_r . x``), so the row ``(c, c, s, -s)`` gives ``c
+    x_i y_r`` (``x_r = b_r . x``), so the column ``(c, c, s, -s)`` gives ``c
     (p_x . p_y) + s (p_x x p_y)``, the response of x's basis pair rotated
     by theta against y's plain pair; a 1-D block's one product gets ``c``.
     """
@@ -283,10 +283,10 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
         first_factor.append(len(input_cols))
     c, s = np.cos(detector_angle), np.sin(detector_angle)
     mix = np.stack([c, c, s, -s], axis=1)
-    within = np.zeros((detector_angle.size, len(input_cols)))
+    within = np.zeros((len(input_cols), detector_angle.size))
     for detector, index in enumerate(detector_block):
         first, end = first_factor[index], first_factor[index + 1]
-        within[detector, first:end] = mix[detector, : end - first]
+        within[first:end, detector] = mix[detector, : end - first]
     bank = DetectorBank(
         blocks=tuple(blocks),
         detector_block=detector_block,
@@ -312,13 +312,13 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
 
     The per-detector responses are a gated model's pooled products
     (``model.pooled_products``) with the bank's filters and P =
-    ``within_pool.T``; ``across_pool`` maps them to the pooled code.
+    ``within_pool``; ``across_pool`` maps them to the pooled code.
     Inputs are assumed contrast-normalized already (rows of shape (n, dim),
     read by ``patches.as_rows``); returns ``(per_detector, pooled)`` arrays
     with one row per pair.
     """
     xs, ys = as_rows(xs, bank.dim, "xs"), as_rows(ys, bank.dim, "ys")
-    per_detector = pooled_products(bank, xs, ys, bank.within_pool.T)
+    per_detector = pooled_products(bank, xs, ys)
     pooled = per_detector @ bank.across_pool
     return per_detector, pooled
 

@@ -39,8 +39,9 @@ from .dataset import (
     gen_videos,
     glyph_split,
 )
+from .detector import ANGLE_MATCH_TOL, DEFAULT_APERTURE_FLOOR, DetectorBank
 # batch_pooled_responses is unused here but stays bound: perfbench/tracer.py rebinds it
-from .detector import DetectorBank, batch_pooled_responses, build_bank_from_warp_family
+from .detector import batch_pooled_responses, build_bank_from_warp_family
 from .errors import ConfigError, DataError, DimensionError, LockError, ModelConfigError
 from .model import (
     NONLINEARITIES,
@@ -121,7 +122,7 @@ ORACLE_DEFAULTS = {
     "dim": 16,
     "n_trials": 1000,
     "snr": 0.0,  # 0 disables noise
-    "aperture_floor": 1e-3,
+    "aperture_floor": DEFAULT_APERTURE_FLOOR,
 }
 
 GEN_PAIRS_DEFAULTS = dict(
@@ -445,7 +446,7 @@ class Fig2Report:
 
 def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
     """Mean absolute pooled product response per band pair."""
-    pooled = np.abs(pooled_products(model, xs, ys, model.within_pool))
+    pooled = np.abs(pooled_products(model, xs, ys))
     # a contiguous row per pair keeps numpy's pairwise summation order
     return np.ascontiguousarray(pooled.T).mean(axis=1)
 
@@ -659,7 +660,7 @@ def shift_readout_pool(bank: DetectorBank, n_shifts: int) -> np.ndarray:
     block_angle = np.array([bank.blocks[b].angle for b in bank.detector_block])
     expected = wrap_angle(np.outer(block_angle, np.arange(n_shifts)))
     offset = wrap_angle(bank.detector_angle[:, None] - expected)
-    return (np.abs(offset) <= 1e-9).astype(np.float64)
+    return (np.abs(offset) <= ANGLE_MATCH_TOL).astype(np.float64)
 
 
 def build_shift_bank(dim: int) -> DetectorBank:
@@ -686,9 +687,9 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
             live_per_trial += norms >= floor
 
         noise_rngs = rng.spawn(dim) if snr > 0 else None
-        readout = bank.within_pool.T @ bank.across_pool  # P W, n_factors x n_outputs
-        # pooled_products(bank, signals, ys, readout) for every shift, with the
-        # x side, which no shift changes, formed once
+        readout = bank.within_pool @ bank.across_pool  # P W, n_factors x n_outputs
+        # pooled_products(bank, signals, ys) @ across_pool for every shift, with
+        # P W composed once and the x side, which no shift changes, formed once
         fx = signals @ bank.input_filters
 
         # A flat loop. Besides the per-shift temporaries it holds fx and two

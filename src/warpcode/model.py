@@ -196,10 +196,10 @@ def standardizing_gain(*arrays) -> float:
     return count / total
 
 
-def pooled_products(layer, xs, ys, pool) -> np.ndarray:
+def pooled_products(layer, xs, ys) -> np.ndarray:
     """The first layer of a gated model or a detector bank (``layer``): the
-    products of the filter responses of row pairs, pooled by ``pool``."""
-    return ((xs @ layer.input_filters) * (ys @ layer.output_filters)) @ pool
+    products of the filter responses of row pairs, pooled by ``layer.within_pool``."""
+    return ((xs @ layer.input_filters) * (ys @ layer.output_filters)) @ layer.within_pool
 
 
 def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
@@ -208,7 +208,7 @@ def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
     ys = as_rows(y, model.dim_y, "y")
     if xs.shape[0] != ys.shape[0]:
         raise DimensionError("x and y batches differ in length")
-    pooled = pooled_products(model, xs, ys, model.within_pool)
+    pooled = pooled_products(model, xs, ys)
     pre = model.gate_gain * pooled @ model.across_pool
     z = NONLINEARITIES[model.nonlinearity][0](pre)
     return z[0] if z.shape[0] == 1 and (isinstance(x, ImagePatch) or np.ndim(x) == 1) else z
@@ -256,7 +256,7 @@ def image_codes(model: GatedModel, xs) -> np.ndarray:
     used when data does not come in pairs.
     """
     xs = as_rows(xs, model.dim_x, "xs")
-    return pooled_products(model, xs, xs, model.within_pool)
+    return pooled_products(model, xs, xs)
 
 
 def _one_sided_loss_and_grads(u, v, p, w, xs, ys, nonlinearity, gain, mirrored=False):
@@ -499,9 +499,9 @@ def load_model(directory) -> GatedModel:
 
     FormatError, naming the file, unless ``model.json`` is a JSON object
     with every key ``save_model`` writes (a missing ``gate_gain``, as in
-    older checkpoints, reads 1.0), a boolean ``tied`` and values the model
-    accepts, and each matrix has the shape ``model.json`` gives it;
-    ``load_matrix`` rejects non-finite entries.
+    older checkpoints, reads 1.0), a boolean ``tied``, a numeric
+    ``gate_gain`` and values the model accepts, and each matrix has the
+    shape ``model.json`` gives it; ``load_matrix`` rejects non-finite entries.
     """
     directory = Path(directory)
     try:
@@ -515,6 +515,9 @@ def load_model(directory) -> GatedModel:
     tied = manifest["tied"]
     if not isinstance(tied, bool):
         raise FormatError(f"model.json: tied is {tied!r}, not true or false")
+    gain = manifest["gate_gain"]
+    if isinstance(gain, bool) or not isinstance(gain, (int, float)):
+        raise FormatError(f"model.json: gate_gain is {gain!r}, not a number")
     if tied and manifest["dim_y"] != manifest["dim_x"]:
         raise FormatError("model.json: a tied model needs dim_x == dim_y")
     files = _matrix_files(directory, tied)
@@ -537,7 +540,7 @@ def load_model(directory) -> GatedModel:
             nonlinearity=manifest["nonlinearity"],
             tied=tied,
             pooling_mode=manifest["pooling_mode"],
-            gate_gain=manifest["gate_gain"],
+            gate_gain=gain,
         )
-    except (TypeError, ValueError) as error:  # a name or gate_gain
+    except (TypeError, ValueError) as error:  # a name, or a gate_gain out of range
         raise FormatError(f"model.json: {error}") from None

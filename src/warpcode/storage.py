@@ -120,18 +120,26 @@ def write_pgm(path, image) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Plain comma-separated output, '.' decimal, repr-formatted floats.
+    """Plain comma-separated output, '.' decimal, repr-formatted floats, a
+    tuple's entries separated by spaces.
 
     repr keeps the shortest round-trip representation, so identical runs
-    produce byte-identical files.
+    produce byte-identical files.  Cells are not quoted, so FormatError,
+    before the file is opened, for a cell holding a comma, a double quote
+    or a line break.
     """
+    table = [list(header)] + [[_format_cell(cell) for cell in row] for row in rows]
+    for cells in table:
+        for text in cells:
+            if any(mark in text for mark in ',"\r\n'):
+                raise FormatError(f"CSV cell {text!r} holds a comma, a quote or a line break")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+        handle.writelines(",".join(cells) + "\n" for cells in table)
 
 
 def _format_cell(cell) -> str:
+    if isinstance(cell, tuple):
+        return " ".join(_format_cell(entry) for entry in cell)
     if isinstance(cell, (bool, np.bool_)):
         return str(bool(cell))
     if isinstance(cell, (int, np.integer)):

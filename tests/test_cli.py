@@ -628,6 +628,20 @@ def test_gen_train_analyze_classify_chain(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("family", ["cyclic_shift", "mixed"])
+def test_gen_pairs_labels_have_one_field_per_column(tmp_path, family):
+    # a translation's parameter is written "dx dy", without a comma
+    args = ["gen", "pairs", "--out", str(tmp_path), "--set", f"family={family}"]
+    assert main(args + ["--set", "n_pairs=40"]) == 0
+    header, rows = read_csv(tmp_path / "labels.csv")
+    assert header == ["family", "parameter"]
+    assert len(rows) == 40
+    assert all(len(row) == len(header) for row in rows)
+    shifts = [row[1].split(" ") for row in rows if row[0] == "cyclic_shift"]
+    assert shifts and all(len(shift) == 2 for shift in shifts)
+    assert all(value.isdigit() for shift in shifts for value in shift)
+
+
 def test_gen_videos_and_glyphs(tmp_path):
     assert (
         main(

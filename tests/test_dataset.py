@@ -785,3 +785,20 @@ class TestCsv:
         text = a.read_text()
         assert text.splitlines()[0] == "index,value,tag"
         assert "0.30000000000000004" in text  # repr round-trip formatting
+
+    def test_a_tuple_cell_is_written_space_separated(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["family", "parameter"], [("cyclic_shift", (2, 6))])
+        assert (tmp_path / "t.csv").read_text() == "family,parameter\ncyclic_shift,2 6\n"
+
+    @pytest.mark.parametrize(
+        "header, cell",
+        [(["tag"], "a,b"), (["tag"], 'a "b"'), (["tag"], "a\nb"), (["tag"], "a\rb")]
+        + [(["tag"], ("a", "b,c")), (["a,b"], "fine")],
+    )
+    def test_a_cell_that_would_split_its_row_is_refused_before_writing(
+        self, tmp_path, header, cell
+    ):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(FormatError, match="holds a comma, a quote or a line break"):
+            write_csv(path, header, [("fine",), (cell,)])
+        assert not path.exists()

@@ -29,7 +29,7 @@ from warpcode.errors import (
     SharedSubspaceError,
 )
 from warpcode.experiments import build_shift_bank
-from warpcode.model import GatedModel, infer_mappings, pooled_products
+from warpcode.model import GatedModel, infer_mappings
 from warpcode.patches import ImagePatch, contrast_normalize, normalize_rows
 from warpcode.storage import load_matrix
 from warpcode.warp_algebra import (
@@ -372,8 +372,8 @@ class TestInputGate:
 def per_detector_loop(bank):
     """The reference bank of one filter pair per detector: x through its
     block's basis rotated by its angle, (c b_r - s b_i, s b_r + c b_i) or
-    c b_r on a 1-D block, y through the plain basis, and one pooling row per
-    detector that sums its products."""
+    c b_r on a 1-D block, y through the plain basis, and one pooling column
+    per detector that sums its products."""
     inputs, outputs, owner = [], [], []
     for detector, (index, theta) in enumerate(
         zip(bank.detector_block, bank.detector_angle)
@@ -390,16 +390,17 @@ def per_detector_loop(bank):
             ]
             outputs += [blk.basis_real, blk.basis_imag]
         owner += [detector] * (len(inputs) - len(owner))
-    within = np.zeros((bank.n_detectors, len(inputs)))
-    within[owner, np.arange(len(inputs))] = 1.0
+    within = np.zeros((len(inputs), bank.n_detectors))
+    within[np.arange(len(inputs)), owner] = 1.0
     return np.stack(inputs, axis=1), np.stack(outputs, axis=1), within
 
 
 def per_block_loop(bank):
     """The steered bank's filters and within pooling, built block by block:
     four factors (b_r b_r, b_i b_i, b_r b_i, b_i b_r) mixed by (c, c, s, -s)
-    on a 2-D block, one factor b_r b_r weighted c on a 1-D block."""
-    inputs, outputs, columns = [], [], []
+    on a 2-D block, one factor b_r b_r weighted c on a 1-D block; each
+    factor's within-pool row holds its weight under its block's detectors."""
+    inputs, outputs, rows = [], [], []
     c, s = np.cos(bank.detector_angle), np.sin(bank.detector_angle)
     for index, blk in enumerate(bank.blocks):
         mine = bank.detector_block == index
@@ -411,8 +412,8 @@ def per_block_loop(bank):
         for u, v, weight in factors:
             inputs.append(u)
             outputs.append(v)
-            columns.append(np.where(mine, weight, 0.0))
-    return tuple(np.stack(cols, axis=1) for cols in (inputs, outputs, columns))
+            rows.append(np.where(mine, weight, 0.0))
+    return np.stack(inputs, axis=1), np.stack(outputs, axis=1), np.stack(rows)
 
 
 def assert_bank_matches_per_detector_loop(bank):
@@ -440,7 +441,7 @@ def assert_bank_matches_per_detector_loop(bank):
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
     per_detector, _ = batch_pooled_responses(bank, xs, ys)
-    reference = ((xs @ u) * (ys @ v)) @ within.T
+    reference = ((xs @ u) * (ys @ v)) @ within
     assert np.abs(per_detector - reference).max() <= 1e-14
 
 
@@ -495,14 +496,15 @@ class TestDetectorBank:
 
     @pytest.mark.parametrize("dim", [5, 8, 16, 32])
     def test_composed_readout_matches_the_pooled_code(self, dim):
-        # the oracle's readout: the within and across pools as one matrix
+        # the oracle's arithmetic: the within and across pools as one readout
         bank = build_shift_bank(dim)
         rng = np.random.default_rng(100 + dim)
         xs = normalize_rows(rng.standard_normal((200, dim)))[0]
         shifted = np.roll(xs, 3, axis=1) + 0.3 * rng.standard_normal(xs.shape)
         ys = normalize_rows(shifted)[0]
         _, pooled = batch_pooled_responses(bank, xs, ys)
-        composed = pooled_products(bank, xs, ys, bank.within_pool.T @ bank.across_pool)
+        readout = bank.within_pool @ bank.across_pool
+        composed = ((xs @ bank.input_filters) * (ys @ bank.output_filters)) @ readout
         tolerance = 1e-12 * np.abs(pooled).max()
         np.testing.assert_allclose(composed, pooled, rtol=0, atol=tolerance)
         np.testing.assert_array_equal(composed.argmax(axis=1), pooled.argmax(axis=1))
@@ -626,7 +628,7 @@ class TestDetectorBank:
         self, shift16, oracle_bank
     ):
         # a bank is a gated model with gain 1, no gate nonlinearity and
-        # P = within_pool.T: both compute the same pooled products
+        # P = within_pool: both compute the same pooled products
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]
         bank = build_bank_from_warp_family([shift16], grid)
         if oracle_bank:
@@ -634,7 +636,7 @@ class TestDetectorBank:
         model = GatedModel(
             bank.input_filters,
             bank.output_filters,
-            bank.within_pool.T,
+            bank.within_pool,
             bank.across_pool,
             nonlinearity="identity",
             gate_gain=1.0,
@@ -691,12 +693,12 @@ class TestDetectorBank:
     def test_bank_invariants(self, shift16):
         grid = [wrap_angle(2 * np.pi * k / 16) for k in range(16)]
         bank = build_bank_from_warp_family([shift16], grid)
-        # each within-pool row touches only its own block's <= 4 factors
+        # each within-pool column touches only its own block's <= 4 factors
         widths = [4 if blk.is_two_dimensional else 1 for blk in bank.blocks]
         first = np.cumsum([0] + widths)
-        assert bank.within_pool.shape == (bank.n_detectors, first[-1])
-        for row, index in zip(bank.within_pool, bank.detector_block):
-            touched = np.flatnonzero(row)
+        assert bank.within_pool.shape == (first[-1], bank.n_detectors)
+        for column, index in zip(bank.within_pool.T, bank.detector_block):
+            touched = np.flatnonzero(column)
             assert touched.size <= 4
             assert np.all((touched >= first[index]) & (touched < first[index + 1]))
         # basis pairs unit-norm and orthogonal

@@ -716,6 +716,8 @@ BAD_MANIFESTS = {
     "unknown-nonlinearity": (_set_key("nonlinearity", "relu"), "unknown nonlinearity"),
     "unknown-pooling-mode": (_set_key("pooling_mode", "foo"), "unknown pooling mode 'foo'"),
     "negative-gate-gain": (_set_key("gate_gain", -1.0), "gate_gain must be positive"),
+    "gate-gain-as-a-string": (_set_key("gate_gain", "2.5"), "gate_gain is '2.5', not a number"),
+    "gate-gain-as-a-boolean": (_set_key("gate_gain", True), "gate_gain is True, not a number"),
 }
 
 
