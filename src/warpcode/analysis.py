@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .model import band_pairs
-from .patches import as_rows
+from .patches import as_rows, row_dots
 from .storage import write_csv, write_pgm
 
 QUADRATURE_CSV_HEADER = ["pair_index", "theta_hat", "fit_r2", "spectral_overlap"]
@@ -39,11 +39,6 @@ def _pair_stack(pairs, name):
     if zero.size:
         raise DataError(f"{name} {zero[0]} is all zero")
     return stack, single
-
-
-def _row_dots(a, b):
-    # one BLAS ddot per row: the call of a 1-D ``a @ b`` and of np.linalg.norm
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def quadrature_pair_score(u_pair, v_pair):
@@ -97,8 +92,8 @@ def spectral_overlap(u, v, geometry: Optional[Tuple[int, int]] = None):
     grid = u.shape[:-1] + (height, width)
     mag_u = np.abs(np.fft.fft2(u.reshape(grid))).reshape(u.shape)
     mag_v = np.abs(np.fft.fft2(v.reshape(grid))).reshape(v.shape)
-    norms = np.sqrt(_row_dots(mag_u, mag_u)) * np.sqrt(_row_dots(mag_v, mag_v))
-    overlap = _row_dots(mag_u, mag_v) / norms
+    norms = np.sqrt(row_dots(mag_u, mag_u)) * np.sqrt(row_dots(mag_v, mag_v))
+    overlap = row_dots(mag_u, mag_v) / norms
     return float(overlap) if u.ndim == 1 else overlap
 
 
@@ -205,14 +200,16 @@ def invariance_ratio(codes_by_orbit: Sequence) -> float:
 
     An orbit is one base image under many transformation parameters.  Small
     values mean the code barely moves along an orbit while still separating
-    different orbits.  Scale-invariant by construction.
+    different orbits.  Scale-invariant by construction.  Each orbit is read
+    through ``as_rows`` at the first orbit's code width.
     """
-    orbits = [np.asarray(o, dtype=np.float64) for o in codes_by_orbit]
+    orbits = list(codes_by_orbit)
     if len(orbits) < 2:
         raise DataError("invariance ratio needs at least two orbits")
-    for orbit in orbits:
-        if orbit.ndim != 2 or orbit.shape[0] < 2:
-            raise DataError("each orbit needs at least two codes")
+    width = as_rows(orbits[0], None, "orbit 0").shape[1]
+    orbits = [as_rows(orbit, width, f"orbit {i}") for i, orbit in enumerate(orbits)]
+    if min(orbit.shape[0] for orbit in orbits) < 2:
+        raise DataError("each orbit needs at least two codes")
     within = float(np.mean([orbit.var(axis=0).mean() for orbit in orbits]))
     means = np.stack([orbit.mean(axis=0) for orbit in orbits])
     between = float(means.var(axis=0).mean())
@@ -301,7 +298,7 @@ def pair_rotation_invariance_score(pair, geometry):
     turned = np.rot90(power, axes=(1, 2))
     # a quarter turn permutes the spectrum, so both have the same norm
     flat = power.reshape(power.shape[0], -1)
-    norm = np.sqrt(_row_dots(flat, flat))
+    norm = np.sqrt(row_dots(flat, flat))
     score = np.sum(power * turned, axis=(1, 2)) / np.maximum(norm * norm, 1e-300)
     return float(score[0]) if single else score
 

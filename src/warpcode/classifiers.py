@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .patches import as_rows
+from .patches import as_rows, row_dots
 
 KNN_BLOCK = 64  # k-NN queries whose distances are held at once
 
@@ -149,9 +149,9 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
     over training rows ``t``.  They are computed for ``KNN_BLOCK`` queries at
     a time: ``np.matmul(train[None], block[:, :, None])`` is one gemv per
     query, equal bit for bit to that query's ``train @ query``, and ``|q|^2``
-    is one dot per query, as ``query @ query`` is.  Neighbors are the first
-    ``k`` of a stable sort of the distances (equal distances in training
-    order), found without sorting whole rows.
+    is ``row_dots``, one dot per query, as ``query @ query`` is.  Neighbors
+    are the first ``k`` of a stable sort of the distances (equal distances
+    in training order), found without sorting whole rows.
     """
     train_features = as_rows(train_features, None, "k-NN training features")
     test_features = as_rows(test_features, train_features.shape[1], "k-NN query features")
@@ -169,7 +169,7 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
         distances = np.matmul(train_features[None], block[:, :, None])[:, :, 0]
         distances *= 2.0
         np.subtract(train_sq, distances, out=distances)
-        distances += np.matmul(block[:, None, :], block[:, :, None])[:, :, 0]
+        distances += row_dots(block, block)[:, None]
         neighbors = _nearest(distances, k)
         winner = _vote(
             train_class[neighbors],

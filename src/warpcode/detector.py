@@ -35,6 +35,7 @@ from .warp_algebra import (
     SubspaceDecomposition,
     WarpMatrix,
     commutation_residual,
+    finite_angles,
     gram_deviation,
     wrap_angle,
 )
@@ -104,30 +105,45 @@ def rotation_detector_response(block: SubspaceBlock, theta: float, x, y) -> floa
     return float(pooled_code(bank, x, y).per_detector[0])
 
 
+def _frame_energy(block: SubspaceBlock, rows, bases):
+    """The multi-frame energy on a block, frame s (``rows[s]``) filtered by
+    ``bases[s]``, the basis at its angle: the sum over basis vectors of the
+    squared sum over frames, and the sum of the squared responses."""
+    sums = [0.0] * block.block_dim
+    quadratic = 0.0
+    for row, basis in zip(rows, bases):
+        for k, vector in enumerate(basis):
+            term = vector @ row
+            sums[k] += term
+            quadratic += term * term
+    return float(sum(part * part for part in sums)), float(quadratic)
+
+
 def energy_detector_response(block: SubspaceBlock, theta: float, x, y) -> float:
-    """Squared-sum response of the concatenated (energy) form of the detector.
+    """Squared-sum response of the concatenated (energy) form of the detector:
+    the multi-frame energy of (x, y) at frame angles (theta, 0).
 
     Identically equal to ``2 * rotation_detector_response + |p_x|^2 + |p_y|^2``.
     """
     _require_normalized(x, y)
-    xv = as_row(x, block.basis_real.size, "x")
-    yv = as_row(y, block.basis_real.size, "y")
-    terms = zip(block.basis, block.rotated_basis(theta))
-    return float(sum(((plain @ yv) + (rot @ xv)) ** 2 for plain, rot in terms))
+    rows = [as_row(x, block.basis_real.size, "x"), as_row(y, block.basis_real.size, "y")]
+    return _frame_energy(block, rows, [block.rotated_basis(theta), block.basis])[0]
 
 
 def sequence_detector_response(
     block: SubspaceBlock, theta: float, frames: Sequence, return_parts: bool = False
 ):
-    """Energy detector over a frame sequence rotating by theta per frame.
+    """Energy detector over a frame sequence rotating by theta per frame: the
+    multi-frame energy at frame angles (0, -theta, -2 theta, ...).
 
     Frame ``s`` is filtered by the basis pair rotated by ``-theta * s`` (the
     conjugate phase), so the response peaks, at ``T^2 * |p_0|^2``, exactly
     when every frame's in-block coordinates advance by theta per step.  On a
     2-D block, two frames give ``energy_detector_response(block, theta,
-    x=frames[0], y=frames[1])``.  On a 1-D block the two read ``(p_x +
-    cos(theta) p_y)^2`` and ``(cos(theta) p_x + p_y)^2``, which agree at
-    theta 0 and pi but not in general.
+    x=frames[0], y=frames[1])``, whose angles (theta, 0) are these (0, -theta)
+    turned by theta, which no 2-D block's energy sees.  On a 1-D block the two
+    read ``(p_x + cos(theta) p_y)^2`` and ``(cos(theta) p_x + p_y)^2``, which
+    agree at theta 0 and pi but not in general.
 
     With ``return_parts`` the response is split as ``(total, quadratic,
     cross)`` where ``quadratic`` collects the per-frame squared projections.
@@ -135,19 +151,10 @@ def sequence_detector_response(
     frames = list(frames)
     if len(frames) < 2:
         raise DimensionError("sequence detector needs at least two frames")
-    dim = block.basis_real.size
-    sums = [0.0] * block.block_dim
-    quadratic = 0.0
-    for s, frame in enumerate(frames):
-        values = as_row(frame, dim, f"frame {s}")
-        for k, rotated in enumerate(block.rotated_basis(-theta * s)):
-            term = rotated @ values
-            sums[k] += term
-            quadratic += term * term
-    total = float(sum(part * part for part in sums))
-    if return_parts:
-        return total, float(quadratic), float(total - quadratic)
-    return total
+    rows = (as_row(frame, block.basis_real.size, f"frame {s}") for s, frame in enumerate(frames))
+    bases = (block.rotated_basis(-theta * s) for s in range(len(frames)))
+    total, quadratic = _frame_energy(block, rows, bases)
+    return (total, quadratic, total - quadratic) if return_parts else total
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def build_bank_from_warp_family(
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("empty warp family")
-    theta_grid = _finite_angles(theta_grid)
+    theta_grid = finite_angles(theta_grid)
     if not theta_grid.size:
         raise ValueError("empty preferred-angle grid")
     _check_shared_subspaces(decompositions)
@@ -246,15 +253,6 @@ def build_bank_from_warp_family(
     across_pool = np.zeros((det_block.size, theta_grid.size))
     across_pool[np.arange(det_block.size), det_grid] = 1.0
     return _assemble_bank(blocks, det_block, theta_grid[det_grid], across_pool)
-
-
-def _finite_angles(angles) -> np.ndarray:
-    """``angles`` as a float array; DataError if any is NaN or infinite, which
-    would turn a pooled code into NaN and its argmax into a silent answer."""
-    angles = np.array(angles, dtype=np.float64)
-    if not np.isfinite(angles).all():
-        raise DataError("preferred angles hold non-finite values")
-    return angles
 
 
 def _on_real_axis(theta):
@@ -274,7 +272,7 @@ def _assemble_bank(blocks, detector_block, detector_angle, across_pool):
     by theta against y's plain pair; a 1-D block's one product gets ``c``.
     """
     detector_block = np.asarray(detector_block, dtype=np.intp)
-    detector_angle = _finite_angles(detector_angle)
+    detector_angle = finite_angles(detector_angle)  # a NaN would give a NaN code
     input_cols, output_cols, first_factor = [], [], [0]
     for block in blocks:
         width = block.block_dim**2  # four factors, or one on a 1-D block

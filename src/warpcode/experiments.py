@@ -42,13 +42,16 @@ from .dataset import (
 from .detector import ANGLE_MATCH_TOL, DEFAULT_APERTURE_FLOOR, DetectorBank
 # batch_pooled_responses is unused here but stays bound: perfbench/tracer.py rebinds it
 from .detector import batch_pooled_responses, build_bank_from_warp_family
-from .errors import ConfigError, DataError, DimensionError, LockError, ModelConfigError
+from .errors import (
+    ConfigError, DataError, DimensionError, DivergenceError, LockError, ModelConfigError,
+)
 from .model import (
     NONLINEARITIES,
     POOLINGS,
     GatedModel,
     TrainConfig,
     band_pairs,
+    check_even_factors,
     image_codes,
     pooled_products,
     standardizing_gain,
@@ -204,8 +207,6 @@ def _option_error(key, default, value, least=1) -> Optional[str]:
     least ``least`` (``seed`` at least 0), floats finite and at least 0,
     ``density`` lies in (0, 1) and a string is a name in ``OPTION_CHOICES``.
     """
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
         least = 0 if key == "seed" else least
         ok = _is_int(value) and value >= least
@@ -265,17 +266,17 @@ class ExperimentConfig:
     @classmethod
     def build(cls, experiment, out_dir, seed=0, config_file=None, overrides=None):
         """Options of a pipeline or subcommand (a key of
-        ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then
-        by ``config_file``, then by ``overrides``.  Every value set must
-        pass ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an
-        integer set for a list option is a list of one.  Band pooling and a
-        positive ``pair_decorrelation`` need an even ``n_factors``.  Every
-        other rule is the check of the code that runs it, called here so
-        that a refused run draws, reads and makes nothing: the warp
+        ``EXPERIMENT_DEFAULTS``): its defaults, replaced by ``seed``, then by
+        ``config_file``, then by ``overrides``.  Every value set must pass
+        ``_option_error``, with the bounds of ``INTEGER_MINIMUMS``; an integer
+        set for a list option is a list of one.  Every other rule is the check
+        of the code that runs it, called here so that a refused run draws, reads
+        and makes nothing: the even ``n_factors`` of band pooling and of a
+        positive ``pair_decorrelation`` (``model.check_even_factors``), the warp
         families and dot images of runs with a ``density``
         (``dataset.check_warp_families``, ``dataset.dot_image_dim``), the
-        training stages of runs with a ``momentum`` (``training_stages``)
-        and fig4's train sizes against ``dataset.glyph_split``."""
+        training stages of runs with a ``momentum`` (``training_stages``) and
+        fig4's train sizes against ``dataset.glyph_split``."""
         if experiment not in EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
         params = dict(EXPERIMENT_DEFAULTS[experiment])
@@ -297,13 +298,11 @@ class ExperimentConfig:
             if expected:
                 raise ConfigError(f"option {key} must be {expected}, got {value!r}")
             params[key] = value
-        # band pooling sums factors 2k and 2k+1, and the pair penalty aligns them
-        odd = params.get("n_factors", 0) % 2
-        if odd and (experiment in ("fig2", "fig4") or params.get("pooling") == "band"):
-            raise ConfigError(f"band pooling needs an even n_factors, got {params['n_factors']}")
-        if odd and params.get("pair_decorrelation"):
-            raise ConfigError(f"pair_decorrelation needs an even n_factors, got {params['n_factors']}")
         try:
+            if experiment in ("fig2", "fig4") or params.get("pooling") == "band":
+                check_even_factors(params.get("n_factors", 0), "band pooling")
+            if params.get("pair_decorrelation"):
+                check_even_factors(params.get("n_factors", 0), "pair_decorrelation")
             if "density" in params:
                 geometry = (params["width"], params["height"])
                 check_warp_families(_warp_families(experiment, params), geometry)
@@ -404,7 +403,9 @@ def fit_gated_model(
     The gate gain is that of inputs standardized to unit mean square per
     dimension (``standardizing_gain``, see ``warpcode.model``), filters are
     seeded from ``seed + 1`` and the symmetric loss is minimized over the
-    three stages of ``training_stages``.  Returns ``(model, epoch_losses)``.
+    three stages of ``training_stages``.  Returns ``(model, epoch_losses)``;
+    a DivergenceError numbers its epoch across the stages, from 1, as
+    ``loss_curve.csv`` does.
     """
     model = GatedModel.initialize(
         xs.shape[1], ys.shape[1], params["n_factors"], params["n_mappings"], pooling=pooling,
@@ -412,7 +413,11 @@ def fit_gated_model(
     )
     losses = []
     for config in training_stages(params, seed):
-        losses.extend(train(model, (xs, ys), config).epoch_losses.tolist())
+        try:
+            trace = train(model, (xs, ys), config)
+        except DivergenceError as error:
+            raise DivergenceError(len(losses) + error.epoch, error.loss) from None
+        losses.extend(trace.epoch_losses.tolist())
     return model, losses
 
 

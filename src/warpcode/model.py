@@ -53,12 +53,17 @@ def band_pairs(filters) -> np.ndarray:
     return filters.reshape(filters.shape[0], filters.shape[1] // 2, 2).transpose(1, 0, 2)
 
 
+def check_even_factors(n_factors: int, what: str) -> None:
+    """ModelConfigError unless ``n_factors`` is even, as band pairs need."""
+    if n_factors % 2:
+        raise ModelConfigError(f"{what} needs an even n_factors, got {n_factors}")
+
+
 def band_pooling(n_factors: int) -> np.ndarray:
     """Fixed band map: column k sums the two factors of pair k of
     ``band_pairs``, so each pooled unit reads exactly one filter pair and
     training pressure drives that pair to span one invariant subspace."""
-    if n_factors % 2:
-        raise ModelConfigError("band pooling needs an even factor count")
+    check_even_factors(n_factors, "band pooling")
     return np.repeat(np.eye(n_factors // 2), 2, axis=0)
 
 
@@ -202,12 +207,22 @@ def pooled_products(layer, xs, ys) -> np.ndarray:
     return ((xs @ layer.input_filters) * (ys @ layer.output_filters)) @ layer.within_pool
 
 
+def _pair_rows(model: GatedModel, x, y, names=("xs", "ys")):
+    """``x`` and ``y`` through ``as_rows`` at the model's widths as a batch of
+    pairs: DataError for no rows, DimensionError unless the row counts agree.
+    ``y is x`` on a square model is read once, so ``ys is xs`` holds after."""
+    xs = as_rows(x, model.dim_x, names[0])
+    ys = xs if y is x and model.dim_y == model.dim_x else as_rows(y, model.dim_y, names[1])
+    if not xs.shape[0]:
+        raise DataError("no (x, y) pairs")
+    if xs.shape[0] != ys.shape[0]:
+        raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
+    return xs, ys
+
+
 def infer_mappings(model: GatedModel, x, y) -> np.ndarray:
     """Mapping-unit activities for one pair (or a batch of pairs)."""
-    xs = as_rows(x, model.dim_x, "x")
-    ys = as_rows(y, model.dim_y, "y")
-    if xs.shape[0] != ys.shape[0]:
-        raise DimensionError("x and y batches differ in length")
+    xs, ys = _pair_rows(model, x, y, ("x", "y"))
     pooled = pooled_products(model, xs, ys)
     pre = model.gate_gain * pooled @ model.across_pool
     z = NONLINEARITIES[model.nonlinearity][0](pre)
@@ -228,10 +243,13 @@ def energy_forward(filters, pooling, x, y) -> np.ndarray:
     """Energy-model activities on the concatenation [x; y].
 
     ``filters`` has one column per factor, sized for the concatenation;
-    ``pooling`` maps squared factor responses to hidden units.
+    ``pooling`` maps squared factor responses to hidden units, one row per
+    factor.  Both pass ``as_rows``, and DimensionError unless they chain.
     """
-    filters = np.asarray(filters, dtype=np.float64)
-    pooling = np.asarray(pooling, dtype=np.float64)
+    filters = as_rows(filters, None, "filters")
+    pooling = as_rows(pooling, None, "pooling")
+    if pooling.shape[0] != filters.shape[1]:
+        raise DimensionError(f"pooling has {pooling.shape[0]} rows for {filters.shape[1]} factors")
     xv, yv = (v.values if isinstance(v, ImagePatch) else v for v in (x, y))
     joint = as_row(np.concatenate([xv, yv]), filters.shape[0], "[x; y]")
     responses = filters.T @ joint
@@ -315,12 +333,7 @@ def loss_and_gradient(model: GatedModel, xs, ys, symmetric=False):
     product, and doubles its gradients in place.
     """
     mirrored = symmetric and model.tied and ys is xs
-    xs = as_rows(xs, model.dim_x, "xs")
-    ys = xs if mirrored else as_rows(ys, model.dim_y, "ys")
-    if xs.shape[0] != ys.shape[0]:
-        raise DimensionError("x and y batches differ in length")
-    if xs.shape[0] == 0:
-        raise DataError("empty batch")
+    xs, ys = _pair_rows(model, xs, ys)
     u, v, p, w = (
         model.input_filters,
         model.output_filters,
@@ -418,19 +431,13 @@ def train(model: GatedModel, data, config: TrainConfig) -> TrainingTrace:
     gradients, then discards the gradients and updates nothing.
     """
     xs, ys = (data.xs, data.ys) if hasattr(data, "xs") and hasattr(data, "ys") else data
-    xs, ys = as_rows(xs, model.dim_x, "xs"), as_rows(ys, model.dim_y, "ys")
-    if xs.shape[0] == 0:
-        raise DataError("empty training set")
-    if xs.shape[0] != ys.shape[0]:
-        raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
-    if config.pair_decorrelation and model.n_factors % 2:
-        raise ModelConfigError(
-            f"pair_decorrelation needs an even factor count, got {model.n_factors}"
-        )
+    xs, ys = _pair_rows(model, xs, ys)
+    if config.pair_decorrelation:
+        check_even_factors(model.n_factors, "pair_decorrelation")
     rng = np.random.default_rng(config.seed)
     velocities = {}
     trace = []
-    for epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):  # numbered as loss_curve.csv numbers them
         order = rng.permutation(xs.shape[0])
         epoch_loss = 0.0
         for start in range(0, xs.shape[0], config.batch_size):

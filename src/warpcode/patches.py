@@ -101,9 +101,10 @@ def _row_means(rows: np.ndarray, keepdims=False) -> np.ndarray:
     return np.add.reduce(rows, axis=1, keepdims=keepdims) / rows.shape[1]
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # one BLAS ddot per row, the call np.linalg.norm makes on a 1-D vector
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over any leading axes, one BLAS ddot per row:
+    bit for bit a 1-D ``a @ b``, and the call ``np.linalg.norm`` makes."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def normalize_rows(raw):
@@ -114,7 +115,7 @@ def normalize_rows(raw):
     rows with a centered norm below ``DEGENERATE_NORM``, which come back all
     zero.  A row's result does not depend on the other rows: numpy's per-row
     pairwise sum over axis 1 is the 1-D ``sum()`` on C-contiguous rows, and
-    ``_row_norms`` makes the ddot call of ``np.linalg.norm``.  Every
+    ``row_dots`` makes the ddot call of ``np.linalg.norm``.  Every
     non-degenerate row is checked as ``ImagePatch`` checks a patch flagged
     normalized.
     """
@@ -125,12 +126,12 @@ def normalize_rows(raw):
         raise DataError("cannot normalize rows with non-finite values")
     centered = values - _row_means(values, keepdims=True)
     centered -= _row_means(centered, keepdims=True)
-    norms = _row_norms(centered)
+    norms = np.sqrt(row_dots(centered, centered))
     degenerate = norms < DEGENERATE_NORM
     centered /= np.where(degenerate, 1.0, norms)[:, None]
     centered[degenerate] = 0.0
     means = _row_means(centered)
-    norms = _row_norms(centered)
+    norms = np.sqrt(row_dots(centered, centered))
     off = ~(_is_unit(means, norms) | degenerate)
     if off.any():
         row = int(np.flatnonzero(off)[0])

@@ -44,6 +44,14 @@ def gram_deviation(basis) -> float:
     return float(np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0))
 
 
+def finite_angles(angles) -> np.ndarray:
+    """``angles`` as a new float64 array; DataError naming a NaN or inf one."""
+    angles = np.array(angles, dtype=np.float64)
+    if not np.isfinite(angles).all():
+        raise DataError(f"rotation angle {angles[~np.isfinite(angles)][0]} is not finite")
+    return angles
+
+
 def wrap_angle(angle):
     """Map an angle to the interval (-pi, pi], elementwise on an array; a
     scalar comes back as a float."""
@@ -203,11 +211,7 @@ def rotate_stack(images: np.ndarray, angles) -> np.ndarray:
     if images.ndim != 3:
         raise DimensionError(f"rotate_stack expects an (n, h, w) stack, got {images.shape}")
     n, height, width = images.shape
-    angles = np.asarray(angles, dtype=np.float64)
-    bad = angles[~np.isfinite(angles)]
-    if bad.size:
-        raise DataError(f"rotation angle {bad[0]} is not finite")
-    folded = np.atleast_1d(wrap_angle(angles))
+    folded = np.atleast_1d(wrap_angle(finite_angles(angles)))
     if folded.shape != (n,):
         raise DimensionError(f"{n} images need {n} angles, got shape {folded.shape}")
     if width == height:
@@ -316,8 +320,7 @@ class SubspaceBlock:
         """The basis rotated by ``theta`` in the subspace, ``(c b_r - s b_i,
         s b_r + c b_i)`` or ``(c b_r,)``; at ``-angle``, the warp's image.
         DataError for a NaN or infinite ``theta``, which would give NaN filters."""
-        if not np.isfinite(theta):
-            raise DataError(f"rotation angle {theta} is not finite")
+        finite_angles(theta)
         c, s = np.cos(theta), np.sin(theta)
         if self.basis_imag is None:
             # not c b_r - s 0, which flips the sign of -0 entries at -pi

@@ -302,6 +302,22 @@ class TestInvarianceRatio:
         with pytest.raises(DataError):
             invariance_ratio([np.zeros((3, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_orbit_named(self, bad):
+        orbits = [np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))]
+        orbits[2][1, 0] = bad
+        with pytest.raises(DataError, match="^orbit 2 row 1 holds non-finite values$"):
+            invariance_ratio(orbits)
+
+    def test_orbits_of_different_widths_rejected(self):
+        expected = r"^orbit 1 has shape \(2, 4\), expected rows of width 3$"
+        with pytest.raises(DimensionError, match=expected):
+            invariance_ratio([np.ones((2, 3)), np.ones((2, 4))])
+
+    def test_orbit_of_one_code_rejected(self):
+        with pytest.raises(DataError, match="at least two codes"):
+            invariance_ratio([np.ones((2, 3)), np.ones(3)])
+
 
 class TestFilterGrid:
     def test_constant_filter_maps_to_mid_gray(self, tmp_path):

@@ -228,6 +228,18 @@ def test_pair_penalty_on_an_odd_factor_count_refused_before_the_data_is_read(
     assert not (tmp_path / "o").exists()
 
 
+def test_divergence_exits_3_with_one_line_naming_the_epoch(tmp_path, capsys):
+    # loss_curve.csv would number this epoch 1: the first of the first stage
+    assert main(["gen", "pairs", "--out", str(tmp_path / "data"), "--set", "n_pairs=200"]) == 0
+    capsys.readouterr()
+    args = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o")]
+    assert main(args + ["--set", "learning_rate=1e6", "--set", "epochs=3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: training diverged at epoch 1 (loss ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "checkpoint").exists()
+
+
 @pytest.mark.parametrize(
     "command, missing",
     [

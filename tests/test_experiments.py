@@ -17,6 +17,7 @@ from warpcode.detector import batch_pooled_responses
 from warpcode.errors import ConfigError, LockError
 from warpcode.experiments import (
     ExperimentConfig,
+    Fig3Report,
     build_shift_bank,
     output_lock,
     pair_energies,
@@ -336,10 +337,33 @@ class TestFig3Smoke:
         )
         report = run_fig3(cfg)
         assert report.segment_energy is None
+        with pytest.raises(ConfigError, match="^segment statistics need a two-segment run$"):
+            report.quiet_fraction()
         header, rows = read_csv(tmp_path / "f3" / "eigenmovie.csv")
         assert header == ["factor_index", "energy", "theta_hat", "consistency_r2"]
         assert len(rows) == 8
         assert (tmp_path / "f3" / "eigenmovie_frames.pgm").exists()
+
+    def test_quartile_medians_read_the_most_and_least_energetic_quarters(self):
+        # eight factors: the top quarter is factors 5 and 2, the bottom 7 and 0
+        energy = np.array([0.1, 0.5, 3.0, 0.7, 0.6, 4.0, 0.4, 0.2])
+        r2 = np.array([0.05, 0.5, 0.9, 0.5, 0.5, 0.7, 0.5, 0.15])
+        report = Fig3Report(energy, np.zeros(8), r2, None, [], None)
+        assert report.quartile_medians() == (0.8, 0.1)
+        # fewer than four factors: each quarter is the one extreme factor
+        report = Fig3Report(energy[:3], np.zeros(3), r2[:3], None, [], None)
+        assert report.quartile_medians() == (0.9, 0.05)
+
+    def test_quiet_fraction_counts_top_half_factors_quiet_in_one_segment(self):
+        # the top half by energy is factors 0, 1 and 2, at segment ratios 4, 1
+        # and 3; factor 3, quiet in its second segment, is outside it
+        energy = np.array([8.0, 7.0, 6.0, 5.0, 1.0, 1.0])
+        segments = np.array(
+            [[4.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.5, 0.0], [9.0, 0.0], [0.0, 9.0]]
+        )
+        report = Fig3Report(energy, np.zeros(6), np.zeros(6), segments, [], None)
+        assert report.quiet_fraction() == pytest.approx(2 / 3)
+        assert report.quiet_fraction(ratio=1.0) == 1.0
 
     def test_two_segment_variant_writes_segments(self, tmp_path):
         cfg = ExperimentConfig.build(

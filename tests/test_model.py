@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import warpcode.experiments
 import warpcode.model
 from warpcode.dataset import gen_dot_pairs
 from warpcode.errors import (
@@ -591,7 +592,8 @@ class TestTrain:
         model = GatedModel.initialize(13, 13, 41, 4, pooling="identity", seed=80)
         before = {name: value.copy() for name, value in model_parameters(model).items()}
         config = TrainConfig(0.3, 1, 10, symmetric=True, pair_decorrelation=1.0)
-        with pytest.raises(ModelConfigError, match="even factor count, got 41"):
+        expected = "^pair_decorrelation needs an even n_factors, got 41$"
+        with pytest.raises(ModelConfigError, match=expected):
             train(model, (xs, ys), config)
         for name, value in model_parameters(model).items():
             np.testing.assert_array_equal(value, before[name])
@@ -632,7 +634,25 @@ class TestTrain:
         model = GatedModel.initialize(13, 13, 12, 6, nonlinearity="identity", seed=17)
         with pytest.raises(DivergenceError) as info:
             train(model, (xs, ys), TrainConfig(500.0, 50, 10, seed=18))
-        assert info.value.epoch >= 0
+        assert info.value.epoch >= 1  # numbered from 1, as loss_curve.csv numbers epochs
+
+    def test_divergence_epoch_counts_across_the_training_stages(self, monkeypatch):
+        # the second stage diverges in its own epoch 2: epoch 5 of fit_gated_model
+        real_train, stages = warpcode.experiments.train, []
+
+        def second_stage_diverges(model, data, config):
+            stages.append(config)
+            if len(stages) == 2:
+                raise DivergenceError(2, np.inf)
+            return real_train(model, data, config)
+
+        monkeypatch.setattr(warpcode.experiments, "train", second_stage_diverges)
+        rng = np.random.default_rng(60)
+        xs, ys = shift_pairs(rng, 13, 20)
+        params = dict(FIG2_DEFAULTS, n_factors=4, n_mappings=2, epochs=6)
+        with pytest.raises(DivergenceError, match="^training diverged at epoch 5 ") as info:
+            fit_gated_model(xs, ys, params, seed=3)
+        assert info.value.epoch == 5 and stages[0].epochs == 3
 
     @pytest.mark.parametrize("n_ys", [4, 16])
     def test_row_count_mismatch_raises_before_the_first_step(self, n_ys):
@@ -824,6 +844,26 @@ class TestInputGate:
         model = GatedModel.initialize(8, 8, 4, 2, tied=True, seed=33)
         with pytest.raises(DataError):
             infer_sequence(model, [x, np.array([np.inf, 0.0, 0.0, 0.0])])
+
+    @pytest.mark.parametrize("entry", ["infer_mappings", "loss_and_gradient"])
+    def test_unpaired_rows_rejected_as_train_rejects_them(self, entry):
+        model = GatedModel.initialize(8, 8, 4, 2, seed=35)
+        call = {"infer_mappings": infer_mappings, "loss_and_gradient": loss_and_gradient}[entry]
+        with pytest.raises(DimensionError, match="^4 x rows but 3 y rows$"):
+            call(model, np.ones((4, 8)), np.ones((3, 8)))
+        with pytest.raises(DataError, match=r"^no \(x, y\) pairs$"):
+            call(model, np.ones((0, 8)), np.ones((0, 8)))
+
+    def test_energy_model_weights_read_through_the_gate(self):
+        x, y = np.ones(4), np.ones(4)
+        with pytest.raises(DataError, match="^filters row 0 holds non-finite values$"):
+            energy_forward(np.full((8, 3), np.nan), np.ones((3, 1)), x, y)
+        with pytest.raises(DataError, match="^pooling row 2 holds non-finite values$"):
+            energy_forward(np.ones((8, 3)), np.array([[1.0], [1.0], [np.inf]]), x, y)
+        with pytest.raises(DimensionError, match="^pooling has 4 rows for 3 factors$"):
+            energy_forward(np.ones((8, 3)), np.ones((4, 1)), x, y)
+        with pytest.raises(DimensionError, match="^pooling has shape"):
+            energy_forward(np.ones((8, 3)), np.ones((3, 1, 1)), x, y)
 
     def test_training_rows_of_the_wrong_width_rejected_before_the_first_step(self):
         model = GatedModel.initialize(8, 8, 4, 2, seed=34)
