@@ -154,6 +154,10 @@ def eigenmovie_consistency(filter_frames):
     frames = frames[None] if single else frames
     if frames.ndim != 3:
         raise DimensionError("filter sequence must be (n_frames, dim) or a stack")
+    if not frames.shape[0]:
+        raise DimensionError(
+            f"consistency fit needs a sequence, got a stack of shape {frames.shape}"
+        )
     if frames.shape[1] < MIN_CONSISTENCY_FRAMES:
         raise DimensionError(f"consistency fit needs at least {MIN_CONSISTENCY_FRAMES} frames")
     if not np.isfinite(frames).all():

@@ -29,6 +29,18 @@ LOGISTIC_MOMENTUM = 0.9
 LOGISTIC_ITERATIONS = 600
 
 
+def _labels(labels, n_rows, name) -> np.ndarray:
+    """``labels`` as an array of one label per row: ``DimensionError`` for
+    another count or rank, ``DataError`` for a NaN or infinite label, which
+    would otherwise become a class that can be predicted."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_rows,):
+        raise DimensionError(f"{name} have shape {labels.shape}, expected one per row: ({n_rows},)")
+    if labels.dtype.kind in "fc" and not np.isfinite(labels).all():
+        raise DataError(f"{name} hold non-finite values")
+    return labels
+
+
 def _multinomial_grad(weights, intercept, features, features_t, one_hot_t, l2):
     """Class probabilities, shaped ``(classes, n)``, and the (weight,
     intercept) gradient of the loss, given C-contiguous transposes ``*_t``."""
@@ -58,7 +70,8 @@ class LogisticModel:
         return self.classes[np.argmax(logits, axis=1)]
 
     def accuracy(self, features, labels) -> float:
-        return float((self.predict(features) == np.asarray(labels)).mean())
+        predictions = self.predict(features)
+        return float((predictions == _labels(labels, predictions.size, "test labels")).mean())
 
 
 def fit_logistic_regression(features, labels, l2: float = 1e-3) -> LogisticModel:
@@ -68,13 +81,15 @@ def fit_logistic_regression(features, labels, l2: float = 1e-3) -> LogisticModel
     scaler in, so ``predict`` takes raw features.  The weight step is capped
     at ``1 / l2``, beyond which the penalty alone makes the iteration
     diverge; the unpenalized intercept keeps ``LOGISTIC_LEARNING_RATE``.  The loop
-    evaluates only the gradient, never the loss.  Non-finite features, and a
-    fit that still ends non-finite, raise ``DataError``.
+    evaluates only the gradient, never the loss.  Non-finite features or
+    labels, a negative or non-finite ``l2``, and a fit that still ends
+    non-finite raise ``DataError``; a label count other than the row count
+    ``DimensionError``.
     """
     features = as_rows(features, None, "logistic-regression features")
-    labels = np.asarray(labels)
-    if features.shape[0] != labels.shape[0]:
-        raise DimensionError("features and labels disagree in length")
+    labels = _labels(labels, features.shape[0], "logistic-regression labels")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise DataError(f"l2 must be a finite penalty >= 0, got {l2}")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError("logistic regression needs at least two classes")
@@ -155,7 +170,7 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
     """
     train_features = as_rows(train_features, None, "k-NN training features")
     test_features = as_rows(test_features, train_features.shape[1], "k-NN query features")
-    train_labels = np.asarray(train_labels)
+    train_labels = _labels(train_labels, train_features.shape[0], "k-NN training labels")
     if train_features.shape[0] == 0:
         raise DataError("empty training set")
     if not 1 <= k <= train_features.shape[0]:
@@ -182,7 +197,7 @@ def classify_knn(train_features, train_labels, test_features, k: int) -> np.ndar
 
 def knn_accuracy(train_features, train_labels, test_features, test_labels, k):
     predictions = classify_knn(train_features, train_labels, test_features, k)
-    return float((predictions == np.asarray(test_labels)).mean())
+    return float((predictions == _labels(test_labels, predictions.size, "k-NN test labels")).mean())
 
 
 @dataclass
@@ -196,11 +211,16 @@ class PcaProjector:
 
 
 def fit_pca(features, n_components: int) -> PcaProjector:
-    """Principal directions of the training set via SVD."""
+    """The leading ``n_components`` principal directions of the training
+    set via SVD, capped at one less than the sample count and at the width."""
     features = as_rows(features, None, "PCA features")
-    n_components = min(n_components, features.shape[0] - 1, features.shape[1])
     if n_components < 1:
-        raise DataError("PCA needs at least two samples")
+        raise DataError(f"PCA needs n_components >= 1, got {n_components}")
+    if features.shape[0] < 2:
+        raise DataError(f"PCA needs at least two samples, got {features.shape[0]}")
+    if features.shape[1] < 1:
+        raise DimensionError("PCA features have no columns")
+    n_components = min(n_components, features.shape[0] - 1, features.shape[1])
     mean = features.mean(axis=0)
     _, _, vt = np.linalg.svd(features - mean, full_matrices=False)
     return PcaProjector(mean, vt[:n_components].T)

@@ -7,15 +7,19 @@ matrices, so train-time data and closed-form detectors agree on each warp.
 Each generator refuses what it cannot make before its first draw: warp
 families a geometry cannot take (``check_warp_families``: a rotation needs
 a square 2-D patch), dot images whose draws would not end
-(``dot_image_dim``) and glyphs below ``GLYPH_MIN_SIDE``; the options check
-of ``warpcode.experiments`` calls the same checks, with ``glyph_split``.
+(``dot_image_dim``), and no glyphs or glyphs below ``GLYPH_MIN_SIDE``; the
+options check of ``warpcode.experiments`` calls the same checks, with
+``glyph_split``.
 
 The dot generators draw every random number in a per-item loop, the glyph
 generator one block of attempts per digit; then they warp, rasterize and
 normalize whole stacks: all pairs at once, all clips of a video set in
 lock-step one frame at a time, glyphs a block at a time.  A stack rotation
 or rasterization is bit for bit the per-item one and a shift only copies
-values, so the output equals item-by-item generation exactly.
+values, so the output equals item-by-item generation exactly.  A stack is
+normalized in the buffer it was warped or rasterized into, or a video frame
+straight into its slice of the clips (``normalize_rows(raw, out=...)``), so
+no generator holds a normalized copy beside the raw one.
 """
 
 from dataclasses import dataclass
@@ -212,8 +216,8 @@ def _warp(rows, family, parameters, geometry):
     return WARP_OPERATORS[family](rows.reshape(-1, *shape), parameters).reshape(rows.shape)
 
 
-def _normalize_or_raise(rows):
-    values, degenerate = normalize_rows(rows)
+def _normalize_or_raise(rows, out):
+    values, degenerate = normalize_rows(rows, out=out)
     if degenerate.any():
         row = int(np.flatnonzero(degenerate)[0])
         raise DataError(f"row {row} is constant and cannot be contrast-normalized")
@@ -235,7 +239,7 @@ def gen_dot_pairs(
     ``check_warp_families`` before any draw.  Warp parameters are drawn uniformly;
     the label records family and parameter.  Every pair is drawn first; then
     all pairs of a family are warped as one stack, and the raw x and y rows
-    are contrast-normalized once per side.
+    are contrast-normalized once per side, each in its own buffer.
     """
     # an unknown name stands for itself, and the check refuses it
     check_warp_families(PAIR_FAMILIES.get(family, (family,)), geometry)
@@ -261,7 +265,7 @@ def gen_dot_pairs(
         raw_ys = _warp(raw_xs, family, parameters, geometry)
     # shifts and rotations keep the pixel sum and the norm, hence the
     # centered norm, so a warped row is never degenerate
-    xs, ys = (_normalize_or_raise(rows) for rows in (raw_xs, raw_ys))
+    xs, ys = (_normalize_or_raise(rows, out=rows) for rows in (raw_xs, raw_ys))
     return PairDataset(xs, ys, labels, geometry)
 
 
@@ -312,7 +316,8 @@ def gen_videos(
     within a segment the same warp is applied to the evolving frame at every
     step.  Orientation, speed and direction vary across clips.  Every clip's
     dots and parameters are drawn first; then all clips step in lock-step:
-    one stack warp and one normalization of the raw frames per frame.
+    one stack warp and one normalization of the raw frames per frame,
+    written straight into that frame of the clips.
     """
     schedule = [(family, (int(a), int(b))) for family, (a, b) in schedule]
     _validate_schedule(schedule, n_frames)
@@ -331,12 +336,12 @@ def gen_videos(
         )
     # warps keep the draw's centered norm, so no frame is degenerate
     clips = np.empty((n_clips, n_frames, dim))
-    clips[:, 0] = _normalize_or_raise(current)
+    _normalize_or_raise(current, out=clips[:, 0])
     for segment, (family, (first, last)) in enumerate(schedule):
         parameters = [params[segment][1] for params in descriptors]
         for t in range(max(first, 2), last + 1):
             current = _warp(current, family, parameters, geometry)
-            clips[:, t - 1] = _normalize_or_raise(current)
+            _normalize_or_raise(current, out=clips[:, t - 1])
     return VideoDataset(clips, descriptors, geometry)
 
 
@@ -467,6 +472,8 @@ def gen_rotated_glyphs(
     random()``, so glyphs and random stream equal one attempt at a time.
     """
     width, height = geometry
+    if n_per_class < 1:
+        raise DataError(f"glyphs need n_per_class >= 1, got {n_per_class}")
     if width < GLYPH_MIN_SIDE or height < GLYPH_MIN_SIDE:
         raise DimensionError(f"glyph geometry must be at least {GLYPH_MIN_SIDE}x{GLYPH_MIN_SIDE}")
     rng = np.random.default_rng(seed)
@@ -483,8 +490,9 @@ def gen_rotated_glyphs(
             glyphs = render_glyph_stack(
                 digit, geometry, 0.055 * draws[:, 0], draws[:, 1:3], draws[:, 3], angles
             )
-            values, degenerate = normalize_rows(glyphs.reshape(len(draws), -1))
-            kept = values[~degenerate]
+            flat = glyphs.reshape(len(draws), -1)
+            _, degenerate = normalize_rows(flat, out=flat)
+            kept = flat[~degenerate]
             images[index : index + len(kept)] = kept
             index += len(kept)
     labels = np.repeat(np.arange(10), n_per_class)
@@ -520,6 +528,6 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
         raise FormatError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     n, height, width = images.shape
     flat = images.reshape(n, height * width).astype(np.float64) / 255.0
-    normalized = normalize_rows(flat)[0]
+    normalize_rows(flat, out=flat)
     split = np.full(n, "train")
-    return LabeledImageSet(normalized, labels.astype(np.int64), split, (width, height))
+    return LabeledImageSet(flat, labels.astype(np.int64), split, (width, height))

@@ -316,6 +316,8 @@ def batch_pooled_responses(bank: DetectorBank, xs: np.ndarray, ys: np.ndarray):
     with one row per pair.
     """
     xs, ys = as_rows(xs, bank.dim, "xs"), as_rows(ys, bank.dim, "ys")
+    if xs.shape[0] != ys.shape[0]:
+        raise DimensionError(f"{xs.shape[0]} x rows but {ys.shape[0]} y rows")
     per_detector = pooled_products(bank, xs, ys)
     pooled = per_detector @ bank.across_pool
     return per_detector, pooled

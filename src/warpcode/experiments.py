@@ -451,7 +451,8 @@ class Fig2Report:
 
 def pair_energies(model: GatedModel, xs, ys) -> np.ndarray:
     """Mean absolute pooled product response per band pair."""
-    pooled = np.abs(pooled_products(model, xs, ys))
+    pooled = pooled_products(model, xs, ys)
+    np.abs(pooled, out=pooled)
     # a contiguous row per pair keeps numpy's pairwise summation order
     return np.ascontiguousarray(pooled.T).mean(axis=1)
 
@@ -616,15 +617,20 @@ def run_fig4(cfg: ExperimentConfig) -> Fig4Report:
     p = cfg.params
     geometry, sizes, k = (p["width"], p["height"]), p["train_sizes"], p["knn_k"]
     with _outputs(cfg) as out:
+        # Each stage drops its inputs once it is done with them, so the dot
+        # pairs and the glyph set are never held together; the generators
+        # draw from their own seeds, so the order changes no value.
         dots = gen_dot_pairs(
             p["n_pairs"], geometry, family="rotation", density=p["density"], seed=cfg.seed
         )
+        model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
+        del dots
         glyphs = gen_rotated_glyphs(p["glyphs_per_class"], geometry, seed=cfg.seed + 2)
         train_x, train_y = glyphs.subset("train")
         test_x, test_y = glyphs.subset("test")
+        del glyphs
         subsets = [_balanced_subset(train_y, size) for size in sizes]
 
-        model, _ = fit_gated_model(dots.xs, dots.ys, p, cfg.seed)
         pooled_train = image_codes(model, train_x)
         test = (image_codes(model, test_x), test_x, test_y)
 
@@ -682,7 +688,8 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
         bank = build_shift_bank(dim)
         rng = np.random.default_rng(cfg.seed)
         # one (n_trials, dim) draw is the stream of n_trials draws of dim
-        signals = normalize_rows(rng.standard_normal((n_trials, dim)))[0]
+        draws = rng.standard_normal((n_trials, dim))
+        signals = normalize_rows(draws, out=draws)[0]
         # live-subspace count per trial (aperture condition on the input side)
         live_per_trial = np.zeros(n_trials, dtype=np.int64)
         for block in bank.blocks:
@@ -709,7 +716,7 @@ def run_detector_oracle(cfg: ExperimentConfig) -> OracleReport:
                 noise = noise_rngs[s].standard_normal(ys.shape)
                 noise *= np.sqrt((ys**2).sum(axis=1, keepdims=True) / (snr * dim))
                 noise += ys  # in place: a third (n, dim) array raised the peak RSS
-                ys = normalize_rows(noise)[0]
+                ys = normalize_rows(noise, out=noise)[0]
             np.matmul(ys, bank.output_filters, out=gated)
             gated *= fx  # bit for bit fx * gated
             np.matmul(gated, readout, out=scores)

@@ -203,8 +203,11 @@ def standardizing_gain(*arrays) -> float:
 
 def pooled_products(layer, xs, ys) -> np.ndarray:
     """The first layer of a gated model or a detector bank (``layer``): the
-    products of the filter responses of row pairs, pooled by ``layer.within_pool``."""
-    return ((xs @ layer.input_filters) * (ys @ layer.output_filters)) @ layer.within_pool
+    products of the filter responses of row pairs, pooled by ``layer.within_pool``.
+    The product is formed in the buffer of the x-side responses."""
+    products = xs @ layer.input_filters
+    products *= ys @ layer.output_filters
+    return products @ layer.within_pool
 
 
 def _pair_rows(model: GatedModel, x, y, names=("xs", "ys")):

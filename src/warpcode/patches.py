@@ -107,24 +107,40 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def normalize_rows(raw):
+def normalize_rows(raw, out=None):
     """Subtract each row's mean (twice, for the rounding residue) and divide
     by its L2 norm; empty or non-finite input raises ``DataError``.
 
     Returns ``(values, degenerate)``: the normalized rows and a mask of the
     rows with a centered norm below ``DEGENERATE_NORM``, which come back all
     zero.  A row's result does not depend on the other rows: numpy's per-row
-    pairwise sum over axis 1 is the 1-D ``sum()`` on C-contiguous rows, and
+    pairwise sum over axis 1 is the 1-D ``sum()`` on contiguous rows, and
     ``row_dots`` makes the ddot call of ``np.linalg.norm``.  Every
     non-degenerate row is checked as ``ImagePatch`` checks a patch flagged
     normalized.
+
+    ``values`` is a new array, or ``out`` when given: a float64 array of the
+    rows' shape whose rows are contiguous, such as ``raw`` itself or one
+    frame ``clips[:, t]`` of a clip stack.  Every step after the first
+    subtraction already runs in place, so the rows are bit for bit those of
+    the copying call.  A wrong shape or layout of ``out`` raises
+    ``DimensionError`` and another dtype ``DataError``, before anything is
+    written.
     """
     values = np.ascontiguousarray(raw, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise DataError(f"need a non-empty (n, d) array, got shape {values.shape}")
+    if out is not None:
+        if out.dtype != np.float64:
+            raise DataError(f"out must be float64, got {out.dtype}")
+        if out.shape != values.shape or out.strides[1] != out.itemsize:
+            raise DimensionError(
+                f"out must be {values.shape} with contiguous rows, got shape "
+                f"{out.shape} and strides {out.strides}"
+            )
     if not np.isfinite(values).all():
         raise DataError("cannot normalize rows with non-finite values")
-    centered = values - _row_means(values, keepdims=True)
+    centered = np.subtract(values, _row_means(values, keepdims=True), out=out)
     centered -= _row_means(centered, keepdims=True)
     norms = np.sqrt(row_dots(centered, centered))
     degenerate = norms < DEGENERATE_NORM

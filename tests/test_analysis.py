@@ -138,6 +138,10 @@ class TestEigenmovieConsistency:
         with pytest.raises(DimensionError):
             eigenmovie_consistency(np.ones((2, 10)))
 
+    def test_empty_stack_rejected(self):
+        with pytest.raises(DimensionError, match=r"stack of shape \(0, 4, 5\)$"):
+            eigenmovie_consistency(np.empty((0, 4, 5)))
+
     def test_all_zero_sequence_rejected(self):
         with pytest.raises(DataError):
             eigenmovie_consistency(np.zeros((4, 10)))

@@ -133,6 +133,34 @@ class TestLogisticRegression:
         with pytest.raises(DataError):
             fit_logistic_regression(np.zeros((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("labels", [np.arange(19) % 2, np.arange(21) % 2, np.zeros((20, 1))])
+    def test_label_count_off_the_row_count_rejected(self, labels):
+        features = np.random.default_rng(20).standard_normal((20, 8))
+        with pytest.raises(DimensionError, match="^logistic-regression labels have shape"):
+            fit_logistic_regression(features, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        # np.unique would make a NaN label a class that predict can return
+        labels = (np.arange(20) % 2).astype(np.float64)
+        labels[7] = bad
+        with pytest.raises(DataError, match="^logistic-regression labels hold non-finite"):
+            fit_logistic_regression(np.random.default_rng(21).standard_normal((20, 8)), labels)
+
+    def test_accuracy_label_count_checked(self):
+        features = np.random.default_rng(22).standard_normal((20, 8))
+        model = fit_logistic_regression(features, np.arange(20) % 2)
+        with pytest.raises(DimensionError, match=r"^test labels have shape \(1,\)"):
+            model.accuracy(features, [1])
+        with pytest.raises(DataError, match="^test labels hold non-finite"):
+            model.accuracy(features[:2], [0.0, np.nan])
+
+    @pytest.mark.parametrize("l2", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_penalty_rejected(self, l2):
+        features = np.random.default_rng(23).standard_normal((20, 8))
+        with pytest.raises(DataError, match=f"^l2 must be a finite penalty >= 0, got {l2}$"):
+            fit_logistic_regression(features, np.arange(20) % 2, l2=l2)
+
     @pytest.mark.parametrize(
         "n, d, n_classes",
         # the last three rows are fig4's shapes: 10 glyph classes
@@ -221,6 +249,26 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             classify_knn(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), 1)
+
+    def test_label_counts_off_the_row_counts_rejected(self):
+        features = np.random.default_rng(24).standard_normal((20, 8))
+        labels = np.arange(20) % 2
+        with pytest.raises(DimensionError, match=r"^k-NN training labels have shape \(23,\)"):
+            classify_knn(features, np.arange(23) % 2, features, 1)
+        with pytest.raises(DimensionError, match=r"^k-NN test labels have shape \(1,\)"):
+            knn_accuracy(features, labels, features, [0], 1)
+        with pytest.raises(DimensionError, match=r"^k-NN test labels have shape \(22,\)"):
+            knn_accuracy(features, labels, features, np.arange(22) % 2, 1)
+
+    def test_non_finite_labels_rejected(self):
+        features = np.random.default_rng(25).standard_normal((20, 8))
+        labels = (np.arange(20) % 2).astype(np.float64)
+        bad = labels.copy()
+        bad[3] = np.nan
+        with pytest.raises(DataError, match="^k-NN training labels hold non-finite"):
+            classify_knn(features, bad, features, 1)
+        with pytest.raises(DataError, match="^k-NN test labels hold non-finite"):
+            knn_accuracy(features, labels, features, bad, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 15])
     def test_blocks_equal_the_per_query_reference(self, k):
@@ -335,6 +383,15 @@ class TestPca:
         rng = np.random.default_rng(9)
         projector = fit_pca(rng.standard_normal((4, 10)), 200)
         assert projector.components.shape[1] == 3
+
+    def test_bad_component_count_or_too_few_samples_named(self):
+        features = np.random.default_rng(26).standard_normal((50, 4))
+        with pytest.raises(DataError, match="^PCA needs n_components >= 1, got 0$"):
+            fit_pca(features, 0)
+        with pytest.raises(DataError, match="^PCA needs at least two samples, got 1$"):
+            fit_pca(features[:1], 2)
+        with pytest.raises(DimensionError, match="^PCA features have no columns$"):
+            fit_pca(features[:, :0], 2)
 
     def test_nan_features_rejected(self):
         features = np.random.default_rng(10).standard_normal((6, 3))

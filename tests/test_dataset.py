@@ -1,6 +1,7 @@
 """Tests for patches, data generators, and the on-disk formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,59 @@ class TestNormalizeRows:
         with pytest.raises(DataError, match="non-finite"):
             normalize_rows(rows)
 
+    @pytest.mark.parametrize("dim", [7, 169, 256])
+    def test_out_raw_itself_equals_the_copying_call_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        raw = rng.standard_normal((30, dim)) * 3.0 + 1.0
+        raw[4] = 2.5  # a degenerate row is zeroed in place too
+        expected, expected_degenerate = normalize_rows(raw)
+        values, degenerate = normalize_rows(raw, out=raw)
+        assert values is raw
+        assert_bitwise_equal(raw, expected)
+        np.testing.assert_array_equal(degenerate, expected_degenerate)
+
+    @pytest.mark.parametrize("frame", [0, 2, 5])
+    def test_out_a_frame_of_a_clip_stack_equals_the_copying_call_bitwise(self, frame):
+        rng = np.random.default_rng(frame)
+        raw = (rng.random((25, 169)) < 0.1).astype(np.float64)
+        clips = np.full((25, 6, 169), 7.0)
+        values, _ = normalize_rows(raw, out=clips[:, frame])
+        assert values.base is clips and np.shares_memory(values, clips[:, frame])
+        assert_bitwise_equal(clips[:, frame], normalize_rows(raw)[0])
+        others = np.delete(clips, frame, axis=1)
+        np.testing.assert_array_equal(others, 7.0)
+
+    def test_copying_call_leaves_raw_untouched(self):
+        raw = np.random.default_rng(8).standard_normal((6, 10))
+        before = raw.copy()
+        values, _ = normalize_rows(raw)
+        assert not np.shares_memory(values, raw)
+        assert_bitwise_equal(raw, before)
+
+    @pytest.mark.parametrize(
+        "out, error",
+        [
+            (np.zeros((6, 9)), DimensionError),  # another width
+            (np.zeros((5, 10)), DimensionError),  # another row count
+            (np.zeros(60), DimensionError),  # another rank
+            (np.zeros((10, 6)).T, DimensionError),  # rows not contiguous
+            (np.zeros((6, 10), dtype=np.float32), DataError),
+        ],
+    )
+    def test_bad_out_rejected_before_anything_is_written(self, out, error):
+        raw = np.random.default_rng(9).standard_normal((6, 10))
+        before, out_before = raw.copy(), out.copy()
+        with pytest.raises(error, match="^out must be"):
+            normalize_rows(raw, out=out)
+        assert_bitwise_equal(raw, before)
+        np.testing.assert_array_equal(out, out_before)
+
+    def test_integer_raw_cannot_be_its_own_out(self):
+        raw = np.arange(12).reshape(3, 4)
+        with pytest.raises(DataError, match="^out must be float64"):
+            normalize_rows(raw, out=raw)
+        np.testing.assert_array_equal(raw, np.arange(12).reshape(3, 4))
+
 
 def reference_dots(rng, geometry, density):
     """The retired dot draw: redrawn until its normalization is not
@@ -256,6 +310,18 @@ class TestDotPairs:
         monkeypatch.setattr(dataset, "_warp", warp)
         with pytest.raises(DataError, match="row 1 is constant"):
             gen_dot_pairs(3, (8, 8), density=0.2, seed=1)
+
+    def test_peak_memory_stays_near_the_pairs_returned(self):
+        # the raw x and y rows are normalized in their own buffers; with a
+        # normalized copy of each beside them the peak was 2.04 times the pairs
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = gen_dot_pairs(3000, (16, 16), "rotation", seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (data.xs.nbytes + data.ys.nbytes)
 
     def test_zero_shift_pairs_are_equal(self):
         data = gen_dot_pairs(20, 16, family="cyclic_shift", density=0.3, seed=3)
@@ -541,6 +607,11 @@ def reference_glyph_images(n_per_class, geometry, seed, max_rotation=np.pi):
 
 
 class TestGlyphs:
+    @pytest.mark.parametrize("per_class", [0, -3])
+    def test_no_glyphs_rejected(self, per_class):
+        with pytest.raises(DataError, match=f"n_per_class >= 1, got {per_class}$"):
+            gen_rotated_glyphs(per_class, (16, 16))
+
     def test_labels_uniform_by_construction(self):
         glyphs = gen_rotated_glyphs(12, (16, 16), seed=1)
         counts = np.bincount(glyphs.labels, minlength=10)

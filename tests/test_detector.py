@@ -367,6 +367,11 @@ class TestInputGate:
             batch_pooled_responses(bank, xs, ys)
         with pytest.raises(DimensionError):
             batch_pooled_responses(bank, xs, xs[:, :15])
+        # one x row is not paired with every y row
+        with pytest.raises(DimensionError, match="^1 x rows but 4 y rows$"):
+            batch_pooled_responses(bank, xs[:1], xs)
+        with pytest.raises(DimensionError, match="^4 x rows but 1 y rows$"):
+            batch_pooled_responses(bank, xs, xs[:1])
 
 
 def per_detector_loop(bank):
